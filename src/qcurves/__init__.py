@@ -18,7 +18,6 @@ from .algebra import (
     EndAlgebraClassification,
     EndAlgebraDescriptor,
     TwistedGroupAlgebra,
-    algebra_multiply,
     classify_end_algebra,
     hom_from_splitting,
     kernel_projector,
@@ -72,7 +71,6 @@ from .pipeline import (
     brauer_order,
     construct_gl2_type,
     frobenius_congruences,
-    validate_qcurve_datum,
 )
 from .quadratic import (
     QuadraticQCurveInput,
@@ -86,7 +84,6 @@ from .traces import (
     DirichletCharacterData,
     TraceEntry,
     TraceTable,
-    character_is_even,
     conjugation_symmetry_report,
     frobenius_charpoly,
     generated_field_e,

@@ -7,9 +7,9 @@ dimension over Q is |G|.  Associativity of the structure table is precisely
 the cocycle identity.  The algebra is commutative iff c is symmetric.
 
 A splitting cochain a of c induces the quotient map onto the multiquadratic
-field generated by its values (b_g -> a(g)); the idempotent projecting onto
-that quotient is recovered by exact linear algebra: it is the unique element
-annihilating the kernel of the quotient map and mapping to 1 under it.
+field E generated by its values (b_g -> a(g)).  The idempotent projecting
+onto that quotient has a closed form: the trace over E of the character
+idempotent (1/|G|) sum_g a(g)^-1 b_g.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .cohomology import OneCochain, TwoCocycle
 from .errors import InconsistentDescriptor, InvalidCocycle, NoProjector, NotASplitting
 from .fields import field_of_radicals
@@ -66,18 +65,6 @@ class TwistedGroupAlgebra:
 
     def basis_elements(self) -> list["AlgebraElement"]:
         return [self.basis(g) for g in self.group.elements()]
-
-    def left_multiplication_matrix(self, x: "AlgebraElement") -> linalg.Matrix:
-        """Matrix of y -> x*y in the group-element basis (canonical order)."""
-        elements = self.group.elements()
-        index = {g: i for i, g in enumerate(elements)}
-        cols = []
-        for h in elements:
-            col = [Fraction(0)] * len(elements)
-            for g, coeff in x.coefficients.items():
-                col[index[self.group.add(g, h)]] += coeff * self._constants[(g, h)]
-            cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(len(elements))) for i in range(len(elements)))
 
     def __eq__(self, other):
         if not isinstance(other, TwistedGroupAlgebra):
@@ -159,11 +146,6 @@ class AlgebraElement:
         return " + ".join(f"({q})*b{list(g)}" for g, q in sorted(self.coefficients.items()))
 
 
-def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the structure table (function form of x * y)."""
-    return x * y
-
-
 class AlgebraHom:
     """Verified Q-algebra surjection from a twisted group algebra onto a field.
 
@@ -201,32 +183,6 @@ class AlgebraHom:
     def maps_to_one(self, x: AlgebraElement) -> bool:
         return self.evaluate_coordinates(x) == {1: Fraction(1)}
 
-    def coordinate_rows(self) -> tuple[list[int], list[tuple]]:
-        """Square classes and the matrix of the hom in class coordinates.
-
-        Row k gives, for each basis symbol (in canonical element order), its
-        contribution to the coefficient of sqrt(classes[k]).
-        """
-        elements = self.algebra.group.elements()
-        classes = sorted({d for _, d in self.coordinates.values()}, key=abs)
-        rows = [
-            tuple(
-                self.coordinates[g][0] if self.coordinates[g][1] == d else Fraction(0)
-                for g in elements
-            )
-            for d in classes
-        ]
-        return classes, rows
-
-    def kernel_basis(self) -> list[AlgebraElement]:
-        """Basis of the kernel, by linear algebra on square-class coordinates."""
-        elements = self.algebra.group.elements()
-        _, rows = self.coordinate_rows()
-        basis = []
-        for v in linalg.nullspace(tuple(rows)):
-            basis.append(AlgebraElement(self.algebra, dict(zip(elements, v))))
-        return basis
-
     def __repr__(self):
         return f"AlgebraHom({self.algebra} -> {self.field})"
 
@@ -243,30 +199,19 @@ def hom_from_splitting(algebra: TwistedGroupAlgebra, a: OneCochain) -> AlgebraHo
 def kernel_projector(algebra: TwistedGroupAlgebra, hom: AlgebraHom) -> AlgebraElement:
     """The idempotent cutting out the field quotient of a commutative algebra.
 
-    Characterized by two linear conditions: it maps to 1 under the quotient
-    and annihilates the quotient's kernel.  Idempotency follows (p - 1 lies
-    in the kernel, so p(p - 1) = 0), and semisimplicity makes the solution
-    unique.
+    Over an algebraic closure the quotient maps are b_g -> a(g) chi(g), one
+    for each character chi of G, and by character orthogonality the
+    idempotent of the one for chi is (1/|G|) sum_g (a(g) chi(g))^-1 b_g.
+    The [E:Q] embeddings of E carry the map for chi = 1 to the maps that
+    factor through E, so the projector is the trace over E of its
+    idempotent: the coefficient of b_g is [E:Q]/|G| * a(g)^-1 when a(g) is
+    rational, and 0 otherwise.
     """
-    group = algebra.group
-    elements = group.elements()
-
-    classes, class_rows = hom.coordinate_rows()
-    rows: list[tuple] = list(class_rows)
-    rhs: list[Fraction] = [Fraction(1) if d == 1 else Fraction(0) for d in classes]
-
-    for k in hom.kernel_basis():
-        mult = algebra.left_multiplication_matrix(k)
-        for row in mult:
-            rows.append(row)
-            rhs.append(Fraction(0))
-
-    solution = linalg.solve(tuple(rows), tuple(rhs))
-    if solution is None:
-        raise NoProjector("projector system is inconsistent")
-    projector = AlgebraElement(algebra, dict(zip(elements, solution)))
+    scale = Fraction(hom.field.degree, algebra.group.order)
+    coefficients = {g: scale / q for g, (q, d) in hom.coordinates.items() if d == 1}
+    projector = AlgebraElement(algebra, coefficients)
     if projector * projector != projector:
-        raise NoProjector("solved element is not idempotent")
+        raise NoProjector("closed-form element is not idempotent")
     return projector
 
 

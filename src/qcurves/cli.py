@@ -37,7 +37,6 @@ from .pipeline import (
 from .quadratic import IMAGINARY, ORDER_TWO, REAL, QuadraticQCurveInput, classify_quadratic
 from .serialize import ParseError
 from .traces import (
-    character_is_even,
     conjugation_symmetry_report,
     frobenius_charpoly,
     generated_field_e,
@@ -114,7 +113,6 @@ def cmd_split(args) -> int:
 def cmd_algebra(args) -> int:
     doc = _load(args.input)
     report: dict[str, Any] = {}
-    ok = True
     if "cyclic_orders" in doc:
         group = serialize.group_from_json(doc.get("cyclic_orders"))
         cocycle = serialize.cocycle_from_json(doc.get("cocycle", []), group)
@@ -158,7 +156,7 @@ def cmd_algebra(args) -> int:
     if not report:
         raise ParseError('expected "cyclic_orders" or "descriptor" in the document')
     _emit(report, args)
-    return EXIT_OK if ok else EXIT_DOMAIN_FAILURE
+    return EXIT_OK
 
 
 def cmd_construct(args) -> int:
@@ -265,7 +263,7 @@ def cmd_traces(args) -> int:
     table = serialize.trace_table_from_json(doc)
     conjugation = conjugation_symmetry_report(table)
     field_e, warnings = generated_field_e(table)
-    even = character_is_even(table.epsilon)
+    even = table.epsilon.is_even
     try:
         inner = generated_field_f(table)
         f_json = serialize.field_to_json(inner.field_f)

@@ -11,8 +11,11 @@ The splitting is constructive and canonical: on a cyclic factor of order n
 generated by s, the product P = prod_{i<n} c(s, s^i) determines the value at
 the generator as the canonical n-th root of P, the remaining values follow by
 telescoping, and factors are combined by peeling coordinates against the
-cocycle itself.  The result is verified against every pair; a verification
-failure yields the (necessarily nontrivial) pairing.
+cocycle itself.  The splitting is built first and its coboundary compared
+with the cocycle, which is O(|G|^2); a coboundary is always a cocycle, so
+only on a mismatch does the O(|G|^3) identity scan run, to tell an invalid
+table (its first failing triple) from an obstructed one (its nontrivial
+pairing).  A cocycle keeps the result of its first scan.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .groups import Element, FiniteAbelianGroup, GroupCharacter, all_characters
 from .radicals import RadicalElement
 
 _ONE = RadicalElement.one()
+_UNSCANNED = object()
 
 
 class OneCochain:
@@ -95,7 +99,7 @@ class OneCochain:
 class TwoCocycle:
     """Total table (g, h) -> radical, normalized on construction by c(1,1)."""
 
-    __slots__ = ("group", "_values")
+    __slots__ = ("group", "_values", "_violation")
 
     def __init__(self, group: FiniteAbelianGroup, values: dict[tuple[Element, Element], RadicalElement]):
         self.group = group
@@ -107,6 +111,7 @@ class TwoCocycle:
                 v = values.get((g, h), _ONE)
                 table[(g, h)] = v if scale.is_one else v / scale
         self._values = table
+        self._violation = _UNSCANNED
 
     @classmethod
     def constant_one(cls, group: FiniteAbelianGroup) -> "TwoCocycle":
@@ -122,8 +127,14 @@ class TwoCocycle:
         """First triple breaking the cocycle identity, or None when valid.
 
         With c(1,1) = 1 (enforced on construction), the identity over all
-        triples also forces the normalization c(1,g) = c(g,1) = 1.
+        triples also forces the normalization c(1,g) = c(g,1) = 1.  The table
+        is immutable, so the O(|G|^3) scan runs on the first call only.
         """
+        if self._violation is _UNSCANNED:
+            self._violation = self._scan()
+        return self._violation
+
+    def _scan(self) -> Optional[tuple[Element, Element, Element]]:
         elements = self.group.elements()
         c = self._values
         add = self.group.add
@@ -186,9 +197,11 @@ class CommutatorPairing:
         if isinstance(table, dict):
             table = tuple(sorted(table.items()))
         object.__setattr__(self, "table", table)
+        # built once for __call__; not a field, so equality and hash see only the table
+        object.__setattr__(self, "_lookup", dict(table))
 
     def __call__(self, g: Element, h: Element) -> RadicalElement:
-        return dict(self.table)[(g, h)]
+        return self._lookup[(g, h)]
 
     @property
     def is_trivial(self) -> bool:
@@ -229,11 +242,10 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
     On each cyclic factor the generator value is the canonical n-th root of
     P = prod_i c(s, s^i), so the construction (and everything downstream of
     it) is deterministic.  Coefficient divisibility makes the construction
-    complete: verification can only fail when the pairing is nontrivial.
+    complete: verification can only fail when the pairing is nontrivial, or
+    when c is not a cocycle at all, which raises InvalidCocycle naming the
+    first failing triple.
     """
-    violation = c.violation()
-    if violation is not None:
-        raise InvalidCocycle(f"cocycle identity fails at {violation}")
     group = c.group
     orders = group.cyclic_orders
 
@@ -268,6 +280,9 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
 
     if cochain.coboundary() == c:
         return SplitResult(cochain, None)
+    violation = c.violation()
+    if violation is not None:
+        raise InvalidCocycle(f"cocycle identity fails at {violation}")
     pairing = c.commutator_pairing()
     if pairing.is_trivial:
         raise InvalidCocycle("symmetric cocycle failed to split (internal error)")

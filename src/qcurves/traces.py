@@ -101,11 +101,6 @@ class DirichletCharacterData:
         return f"DirichletCharacterData(mod {self.modulus}, order {self.order})"
 
 
-def character_is_even(eps: DirichletCharacterData) -> bool:
-    """Value +1 at -1."""
-    return eps.is_even
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     p: int

@@ -7,15 +7,27 @@ import random
 from fractions import Fraction
 
 from qcurves import (
+    AlgebraElement,
+    AlgebraHom,
     DirichletCharacterData,
     FiniteAbelianGroup,
     OneCochain,
     QuadraticElement,
     TraceEntry,
+    TwistedGroupAlgebra,
     TwoCocycle,
 )
 from qcurves.descent import DescentDatum
-from qcurves.linalg import identity, inverse, is_invertible, mat_mul, matrix
+from qcurves.linalg import (
+    Matrix,
+    identity,
+    inverse,
+    is_invertible,
+    mat_mul,
+    matrix,
+    nullspace,
+    solve,
+)
 from qcurves.radicals import RadicalElement
 
 PRIMES = (2, 3, 5)
@@ -77,6 +89,67 @@ def mu8_sqrt2_pool() -> list[RadicalElement]:
                 RadicalElement(Fraction(k, 8), {2: Fraction(j, 2)} if j else {})
             )
     return pool
+
+
+# ---------------------------------------------------------------------------
+# Projector oracle: the idempotent by exact linear algebra
+# ---------------------------------------------------------------------------
+
+
+def coordinate_rows(hom: AlgebraHom) -> tuple[list[int], list[tuple]]:
+    """Square classes and the matrix of the hom in class coordinates.
+
+    Row k gives, for each basis symbol (in canonical element order), its
+    contribution to the coefficient of sqrt(classes[k]).
+    """
+    elements = hom.algebra.group.elements()
+    classes = sorted({d for _, d in hom.coordinates.values()}, key=abs)
+    rows = [
+        tuple(
+            hom.coordinates[g][0] if hom.coordinates[g][1] == d else Fraction(0)
+            for g in elements
+        )
+        for d in classes
+    ]
+    return classes, rows
+
+
+def kernel_basis(hom: AlgebraHom) -> list[AlgebraElement]:
+    """Basis of the kernel, by linear algebra on square-class coordinates."""
+    elements = hom.algebra.group.elements()
+    _, rows = coordinate_rows(hom)
+    return [
+        AlgebraElement(hom.algebra, dict(zip(elements, v))) for v in nullspace(tuple(rows))
+    ]
+
+
+def left_multiplication_matrix(algebra: TwistedGroupAlgebra, x: AlgebraElement) -> Matrix:
+    """Matrix of y -> x*y in the group-element basis (canonical order)."""
+    elements = algebra.group.elements()
+    index = {g: i for i, g in enumerate(elements)}
+    cols = []
+    for h in elements:
+        col = [Fraction(0)] * len(elements)
+        for g, coeff in x.coefficients.items():
+            col[index[algebra.group.add(g, h)]] += coeff * algebra.structure_constant(g, h)
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(len(elements))) for i in range(len(elements)))
+
+
+def linear_projector(algebra: TwistedGroupAlgebra, hom: AlgebraHom):
+    """The element mapping to 1 under the hom and annihilating its kernel, or
+    None when that linear system has no solution."""
+    classes, class_rows = coordinate_rows(hom)
+    rows: list[tuple] = list(class_rows)
+    rhs: list[Fraction] = [Fraction(1) if d == 1 else Fraction(0) for d in classes]
+    for k in kernel_basis(hom):
+        for row in left_multiplication_matrix(algebra, k):
+            rows.append(row)
+            rhs.append(Fraction(0))
+    solution = solve(tuple(rows), tuple(rhs))
+    if solution is None:
+        return None
+    return AlgebraElement(algebra, dict(zip(algebra.group.elements(), solution)))
 
 
 # ---------------------------------------------------------------------------

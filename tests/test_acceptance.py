@@ -38,7 +38,6 @@ from qcurves.traces import (
     DirichletCharacterData,
     TraceEntry,
     TraceTable,
-    character_is_even,
     conjugation_symmetry_report,
     generated_field_e,
     generated_field_f,
@@ -240,7 +239,7 @@ def test_acceptance_08_trace_tables():
     tables_checked = 0
     for round_index in range(4):
         for field_e, eps, d, field_real in configs:
-            assert character_is_even(eps)
+            assert eps.is_even
             entries = compliant_table_entries(rng, field_real, d, eps, primes)
             assert len(entries) >= 25
             table = TraceTable(field_e, eps, entries)

@@ -11,18 +11,17 @@ from qcurves.algebra import (
     QUATERNIONIC,
     EndAlgebraDescriptor,
     TwistedGroupAlgebra,
-    algebra_multiply,
     classify_end_algebra,
     hom_from_splitting,
     kernel_projector,
 )
-from qcurves.cohomology import OneCochain, TwoCocycle, split_cocycle
+from qcurves.cohomology import OneCochain, TwoCocycle, character_twists, split_cocycle
 from qcurves.errors import InconsistentDescriptor, InvalidCocycle, NotASplitting
 from qcurves.fields import MultiquadraticField
 from qcurves.groups import FiniteAbelianGroup
 from qcurves.radicals import RadicalElement
 
-from helpers import random_cochain
+from helpers import kernel_basis, linear_projector, random_cochain
 
 Z2 = FiniteAbelianGroup((2,))
 V4 = FiniteAbelianGroup((2, 2))
@@ -60,7 +59,7 @@ def test_basis_square_is_m(m):
 def test_expansion_example():
     algebra = z2_algebra(2)
     one, b = algebra.one(), algebra.basis(SIGMA)
-    assert algebra_multiply(one + b, one - b) == one.scale(-1)
+    assert (one + b) * (one - b) == one.scale(-1)
 
 
 def test_associativity_on_random_triples():
@@ -177,8 +176,57 @@ def test_projector_properties():
         for _ in range(5):
             x = algebra.element({g: Fraction(rng.randint(-3, 3)) for g in Z2.elements()})
             assert x * projector == projector * x
-        for k in hom.kernel_basis():
+        for k in kernel_basis(hom):
             assert (k * projector).is_zero
+
+
+def ladder_splitting(group: FiniteAbelianGroup, primes) -> OneCochain:
+    """a(g) = prod p_i^(g_i/2): a coboundary with rational values, like the CLI ladder."""
+    return OneCochain(
+        group,
+        {
+            g: RadicalElement(Fraction(0), {p: Fraction(x, 2) for x, p in zip(g, primes) if x})
+            for g in group.elements()
+        },
+    )
+
+
+def assert_closed_form_matches_oracle(algebra, splitting):
+    hom = hom_from_splitting(algebra, splitting)
+    expected = linear_projector(algebra, hom)
+    assert expected is not None
+    assert kernel_projector(algebra, hom) == expected
+
+
+@pytest.mark.parametrize("m", [2, -2, 4])
+def test_closed_form_projector_matches_linear_oracle_on_z2(m):
+    assert_closed_form_matches_oracle(z2_algebra(m), z2_splitting(m))
+
+
+@pytest.mark.parametrize("orders, primes", [((4,), (3,)), ((2, 2, 2), (2, 3, 5)), ((4, 2), (7, 11))])
+def test_closed_form_projector_matches_linear_oracle_on_ladders(orders, primes):
+    # every character twist of the ladder splitting: real, imaginary and
+    # order-4 twisted values over the same rational cocycle
+    group = FiniteAbelianGroup(orders)
+    base = ladder_splitting(group, primes)
+    algebra = TwistedGroupAlgebra(group, base.coboundary())
+    for splitting in character_twists(base):
+        assert_closed_form_matches_oracle(algebra, splitting)
+
+
+def test_closed_form_projector_matches_linear_oracle_over_gaussian_field():
+    # b_k -> i^k on the untwisted Z/4 algebra: the quotient is Q(i)
+    group = FiniteAbelianGroup((4,))
+    splitting = OneCochain(
+        group, {(k,): RadicalElement.root_of_unity(Fraction(k, 4)) for k in range(4)}
+    )
+    algebra = TwistedGroupAlgebra(group, splitting.coboundary())
+    hom = hom_from_splitting(algebra, splitting)
+    assert hom.field == MultiquadraticField.from_square_classes([-1])
+    assert_closed_form_matches_oracle(algebra, splitting)
+    assert kernel_projector(algebra, hom) == algebra.element(
+        {(0,): Fraction(1, 2), (2,): Fraction(-1, 2)}
+    )
 
 
 def test_split_algebra_q_x_q():

@@ -22,7 +22,6 @@ from qcurves.pipeline import (
     brauer_order,
     construct_gl2_type,
     frobenius_congruences,
-    validate_qcurve_datum,
 )
 from qcurves.quadratic import order_two_datum
 from qcurves.radicals import RadicalElement
@@ -42,12 +41,12 @@ def z2_datum(m, deg):
 
 
 def test_valid_data():
-    assert validate_qcurve_datum(z2_datum(2, 2)) is None
-    assert validate_qcurve_datum(z2_datum(-2, 2)) is None
+    assert z2_datum(2, 2).violation() is None
+    assert z2_datum(-2, 2).violation() is None
 
 
 def test_degree_identity_violation():
-    violation = validate_qcurve_datum(z2_datum(3, 2))
+    violation = z2_datum(3, 2).violation()
     assert isinstance(violation, DegreeIdentityViolation)
     assert (violation.g, violation.h) == (SIGMA, SIGMA)
 
@@ -55,7 +54,7 @@ def test_degree_identity_violation():
 def test_cocycle_violation_reported_first():
     values = {((0,), SIGMA): RadicalElement.from_rational(2)}
     datum = QCurveDatum(Z2, {(0,): 1, SIGMA: 1}, TwoCocycle(Z2, values))
-    assert isinstance(validate_qcurve_datum(datum), CocycleViolation)
+    assert isinstance(datum.violation(), CocycleViolation)
 
 
 def test_datum_requires_total_degrees():
@@ -102,7 +101,7 @@ def test_construct_obstructed():
     datum = QCurveDatum(
         group, {g: 1 for g in group.elements()}, klein_alternating_cocycle()
     )
-    assert validate_qcurve_datum(datum) is None
+    assert datum.violation() is None
     with pytest.raises(SplittingObstructed) as err:
         construct_gl2_type(datum)
     assert not err.value.pairing.is_trivial

@@ -15,7 +15,6 @@ from qcurves.traces import (
     TraceEntry,
     TraceTable,
     canonical_involution,
-    character_is_even,
     conjugation_symmetry_report,
     frobenius_charpoly,
     generated_field_e,
@@ -64,11 +63,11 @@ def test_character_evaluation_and_order():
 
 
 def test_evenness():
-    assert character_is_even(DirichletCharacterData.trivial())
-    assert not character_is_even(chi_mod4())
-    assert character_is_even(chi_mod8())
-    assert character_is_even(chi_mod5())
-    assert character_is_even(chi_mod16_order4())
+    assert DirichletCharacterData.trivial().is_even
+    assert not chi_mod4().is_even
+    assert chi_mod8().is_even
+    assert chi_mod5().is_even
+    assert chi_mod16_order4().is_even
 
 
 def test_evenness_consistent_with_quadratic_classifier():
@@ -85,7 +84,7 @@ def test_evenness_consistent_with_quadratic_classifier():
                 avatar = chi_mod8()  # even quadratic: real base field
             else:
                 avatar = chi_mod4()  # odd quadratic: imaginary base field
-            assert character_is_even(avatar) == report.signature_constraint_ok
+            assert avatar.is_even == report.signature_constraint_ok
 
 
 # -- tables and conjugation ------------------------------------------------------------
