@@ -63,9 +63,6 @@ class TwistedGroupAlgebra:
     def basis(self, g: Element) -> "AlgebraElement":
         return AlgebraElement(self, {self.group.check_element(g): Fraction(1)})
 
-    def basis_elements(self) -> list["AlgebraElement"]:
-        return [self.basis(g) for g in self.group.elements()]
-
     def __eq__(self, other):
         if not isinstance(other, TwistedGroupAlgebra):
             return NotImplemented
@@ -147,23 +144,15 @@ class AlgebraElement:
 
 
 class AlgebraHom:
-    """Verified Q-algebra surjection from a twisted group algebra onto a field.
+    """Q-algebra surjection b_g -> a(g) from a twisted group algebra onto a field.
 
-    Basis symbols map to radicals; multiplicativity against the structure
-    constants is checked on construction for every pair.
+    Built by hom_from_splitting, which checks that a splits the algebra's
+    cocycle.  That check is exactly multiplicativity: a(g) a(h) = c(g, h) a(gh)
+    for every pair is the identity delta(a) = c.
     """
 
     def __init__(self, algebra: TwistedGroupAlgebra, images: dict[Element, RadicalElement]):
         self.algebra = algebra
-        group = algebra.group
-        for g in group.elements():
-            if g not in images:
-                raise NotASplitting(f"no image assigned to basis symbol at {g}")
-        for g in group.elements():
-            for h in group.elements():
-                expected = algebra.cocycle(g, h) * images[group.add(g, h)]
-                if images[g] * images[h] != expected:
-                    raise NotASplitting(f"images are not multiplicative at ({g}, {h})")
         self.images = dict(images)
         self.field = field_of_radicals(images.values())
         # coordinates of each image in the square-class basis of the field

@@ -63,11 +63,5 @@ def is_rational_square(q: Fraction | int) -> bool:
     )
 
 
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in factor_positive(abs(n)).values())
-
-
 def is_prime(n: int) -> bool:
     return bool(isprime(n))

@@ -148,10 +148,6 @@ class TwoCocycle:
         return None
 
     @property
-    def is_valid(self) -> bool:
-        return self.violation() is None
-
-    @property
     def is_symmetric(self) -> bool:
         return all(self._values[(g, h)] == self._values[(h, g)] for g, h in self._values)
 

@@ -34,6 +34,8 @@ from .errors import CompatibilityRequired
 from .groups import Element, FiniteAbelianGroup
 from .pipeline import QCurveDatum
 
+_UNSCANNED = object()
+
 
 @dataclass(frozen=True)
 class FactorProduct:
@@ -51,13 +53,6 @@ class FactorProduct:
     @classmethod
     def of_group(cls, group: FiniteAbelianGroup, block_rank: int) -> "FactorProduct":
         return cls(tuple(group.elements()), block_rank)
-
-    @property
-    def total_rank(self) -> int:
-        return len(self.labels) * self.block_rank
-
-    def slot(self, label: Element) -> int:
-        return self.labels.index(label)
 
 
 class BlockMap:
@@ -85,11 +80,6 @@ class BlockMap:
         self.target = target
         self.blocks = table
 
-    @classmethod
-    def identity(cls, product: FactorProduct) -> "BlockMap":
-        eye = linalg.identity(product.block_rank)
-        return cls(product, product, {(label, label): eye for label in product.labels})
-
     def block(self, t_label: Element, s_label: Element) -> linalg.Matrix:
         zero = linalg.zeros(self.source.block_rank, self.source.block_rank)
         return self.blocks.get((t_label, s_label), zero)
@@ -107,14 +97,6 @@ class BlockMap:
                 key = (t_label, s_label)
                 acc[key] = linalg.mat_add(acc[key], product) if key in acc else product
         return BlockMap(other.source, self.target, acc)
-
-    def __add__(self, other: "BlockMap") -> "BlockMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("block maps have different shapes")
-        acc = dict(self.blocks)
-        for key, block in other.blocks.items():
-            acc[key] = linalg.mat_add(acc[key], block) if key in acc else block
-        return BlockMap(self.source, self.target, acc)
 
     def scale(self, s) -> "BlockMap":
         return BlockMap(
@@ -135,9 +117,6 @@ class BlockMap:
                     row.extend(block[i] if block else (Fraction(0),) * n)
                 rows.append(tuple(row))
         return tuple(rows)
-
-    def rank(self) -> int:
-        return linalg.rank(self.to_dense())
 
     def __eq__(self, other):
         if not isinstance(other, BlockMap):
@@ -171,26 +150,37 @@ class DescentDatum:
         if table[group.identity] != linalg.identity(self.block_rank):
             raise ValueError("the identity element must carry the identity matrix")
         self.mu = table
+        self._violation = _UNSCANNED
+
+    def _scan(self) -> Optional[tuple[Element, Element]]:
+        for s in self.group.elements():
+            for t in self.group.elements():
+                st = self.group.add(s, t)
+                if linalg.mat_mul(self.mu[s], self.mu[t]) != self.mu[st]:
+                    return (s, t)
+        return None
 
     def product(self) -> FactorProduct:
         return FactorProduct.of_group(self.group, self.block_rank)
 
 
 def compatibility_violation(datum: DescentDatum) -> Optional[tuple[Element, Element]]:
-    """First pair with mu(s) mu(t) != mu(st), or None when compatible."""
-    for s in datum.group.elements():
-        for t in datum.group.elements():
-            st = datum.group.add(s, t)
-            if linalg.mat_mul(datum.mu[s], datum.mu[t]) != datum.mu[st]:
-                return (s, t)
-    return None
+    """First pair with mu(s) mu(t) != mu(st), or None when compatible.
+
+    The matrices are fixed on construction, so the O(|G|^2 n^3) scan runs on
+    the first call for a datum only.
+    """
+    if datum._violation is _UNSCANNED:
+        datum._violation = datum._scan()
+    return datum._violation
 
 
 def build_restriction(datum: DescentDatum) -> dict[Element, BlockMap]:
     """The operators [g] on the product of conjugates, one per group element.
 
-    [g] sends slot t*g to slot t by mu(g); compatibility makes the family a
-    homomorphic image of the group, which is re-verified exactly.
+    [g] sends slot t*g to slot t by mu(g).  The family is a homomorphic image
+    of the group exactly when the datum is compatible: [s][t] and [st] both
+    have their blocks at (x, x*s*t), equal to mu(s) mu(t) and mu(st).
     """
     violation = compatibility_violation(datum)
     if violation is not None:
@@ -202,10 +192,6 @@ def build_restriction(datum: DescentDatum) -> dict[Element, BlockMap]:
             (t_label, datum.group.add(t_label, g)): datum.mu[g] for t_label in product.labels
         }
         operators[g] = BlockMap(product, product, blocks)
-    for s in datum.group.elements():
-        for t in datum.group.elements():
-            if operators[s].compose(operators[t]) != operators[datum.group.add(s, t)]:
-                raise CompatibilityRequired(f"operator group law fails at ({s}, {t})")
     return operators
 
 
@@ -232,9 +218,11 @@ def eta_descent(datum: DescentDatum) -> DescentReport:
     """
     operators = build_restriction(datum)
     group = datum.group
-    eta = None
-    for g in group.elements():
-        eta = operators[g] if eta is None else eta + operators[g]
+    # distinct operators have disjoint supports {(t, t*g)}: their sum is the
+    # union of their blocks
+    product = datum.product()
+    blocks = {key: block for op in operators.values() for key, block in op.blocks.items()}
+    eta = BlockMap(product, product, blocks)
 
     fixed = all(
         operators[g].compose(eta) == eta and eta.compose(operators[g]) == eta

@@ -18,7 +18,7 @@ class NotASplitting(QCurvesError):
 
 
 class NoProjector(QCurvesError):
-    """The linear system for an idempotent is inconsistent (internal error)."""
+    """The closed-form projector is not idempotent (internal error)."""
 
 
 class InconsistentDescriptor(QCurvesError):

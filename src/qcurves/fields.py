@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import factor_positive, squarefree_part
-from .errors import UnsupportedDegree, ValueOutsideField
+from .errors import ValueOutsideField
 from .radicals import RadicalElement
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,6 @@ class QuadraticElement:
     @classmethod
     def from_rational(cls, q) -> "QuadraticElement":
         return cls(Fraction(q), Fraction(0), 1)
-
-    @classmethod
-    def sqrt_class(cls, d: int) -> "QuadraticElement":
-        return cls(Fraction(0), Fraction(1), d)
 
     @classmethod
     def from_radical(cls, x: RadicalElement) -> "QuadraticElement":

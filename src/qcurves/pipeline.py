@@ -42,6 +42,9 @@ class DegreeIdentityViolation:
     h: Element
 
 
+_UNCHECKED = object()
+
+
 class QCurveDatum:
     """Galois group, isogeny degrees, and the attached rational 2-cocycle."""
 
@@ -64,13 +67,20 @@ class QCurveDatum:
             table[g] = deg
         self.degrees = table
         self.cocycle = cocycle
+        self._violation = _UNCHECKED
 
     def degree(self, g: Element) -> int:
         return self.degrees[g]
 
     def violation(self) -> Optional[CocycleViolation | DegreeIdentityViolation]:
         """First failed invariant: the cocycle identity, deg(1) = 1, or the
-        degree identity c(g, h)^2 = deg(g) deg(h) / deg(gh)."""
+        degree identity c(g, h)^2 = deg(g) deg(h) / deg(gh).  The datum is
+        immutable, so the checks run on the first call only."""
+        if self._violation is _UNCHECKED:
+            self._violation = self._check()
+        return self._violation
+
+    def _check(self) -> Optional[CocycleViolation | DegreeIdentityViolation]:
         triple = self.cocycle.violation()
         if triple is not None:
             return CocycleViolation(*triple)
@@ -86,10 +96,6 @@ class QCurveDatum:
                 if lhs != rhs:
                     return DegreeIdentityViolation(g, h)
         return None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.violation() is None
 
 
 @dataclass(frozen=True)

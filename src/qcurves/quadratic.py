@@ -43,10 +43,6 @@ class QuadraticQCurveInput:
         if self.k_signature not in (REAL, IMAGINARY):
             raise ValueError(f"unknown signature {self.k_signature!r}")
 
-    @property
-    def isogeny_degree(self) -> int:
-        return abs(self.m)
-
 
 @dataclass(frozen=True)
 class QuadraticReport:

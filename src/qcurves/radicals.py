@@ -151,12 +151,6 @@ class RadicalElement:
             q *= Fraction(p) ** int(r)
         return q
 
-    def torsion_order(self) -> int | None:
-        """Multiplicative order when the element is a root of unity, else None."""
-        if self._exponents:
-            return None
-        return self._torsion.denominator
-
     def as_sqrt_multiple(self):
         """Write the element as q * sqrt(d) with q rational and d squarefree.
 

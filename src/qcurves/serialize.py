@@ -29,6 +29,14 @@ def _fail(msg: str) -> "ParseError":
     return ParseError(msg)
 
 
+def _prime(raw: dict) -> int:
+    """The "p" field of a table entry: a JSON integer, not a bool or a float."""
+    p = raw["p"]
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise _fail(f'"p" must be an integer, got {p!r}')
+    return p
+
+
 # -- radicals ---------------------------------------------------------------
 
 
@@ -44,11 +52,12 @@ def radical_from_json(obj: Any) -> RadicalElement:
         return RadicalElement.from_rational(parse_fraction(obj))
     if not isinstance(obj, dict):
         raise _fail(f"expected a radical object, got {obj!r}")
+    raw_exponents = obj.get("exponents") or {}
+    if not isinstance(raw_exponents, dict):
+        raise _fail(f'bad radical {obj!r}: "exponents" must be an object')
     try:
         torsion = parse_fraction(obj.get("torsion", "0/1"))
-        exponents = {
-            int(p): parse_fraction(r) for p, r in (obj.get("exponents") or {}).items()
-        }
+        exponents = {int(p): parse_fraction(r) for p, r in raw_exponents.items()}
         return RadicalElement(torsion, exponents)
     except (ValueError, TypeError) as exc:
         raise _fail(f"bad radical {obj!r}: {exc}") from None
@@ -182,7 +191,7 @@ def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> Frobe
         a_p = raw.get("a_p")
         entries.append(
             FrobeniusEntry(
-                p=int(raw["p"]),
+                p=_prime(raw),
                 frobenius_class=element_from_json(raw["class"], group),
                 a_p=None if a_p is None else radical_from_json(a_p),
                 good_reduction=bool(raw.get("good", True)),
@@ -206,10 +215,6 @@ def matrix_from_json(obj: Any, n: int) -> linalg.Matrix:
         except ValueError as exc:
             raise _fail(str(exc)) from None
     return linalg.matrix(rows)
-
-
-def matrix_to_json(m: linalg.Matrix) -> list:
-    return [[format_fraction(x) for x in row] for row in m]
 
 
 def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
@@ -268,9 +273,11 @@ def character_from_json(obj: Any) -> DirichletCharacterData:
     modulus = obj["modulus"]
     if not isinstance(modulus, int) or modulus < 1:
         raise _fail('"modulus" must be a positive integer')
+    raw_values = obj.get("values") or {}
+    if not isinstance(raw_values, dict):
+        raise _fail('"values" must be an object keyed by residue')
     values = {
-        int(r): RadicalElement.root_of_unity(parse_fraction(t))
-        for r, t in (obj.get("values") or {}).items()
+        int(r): RadicalElement.root_of_unity(parse_fraction(t)) for r, t in raw_values.items()
     }
     if modulus == 1:
         values.setdefault(0, RadicalElement.one())
@@ -313,7 +320,7 @@ def trace_table_from_json(obj: Any) -> TraceTable:
             raise _fail(f"bad trace entry {raw!r}")
         entries.append(
             TraceEntry(
-                p=int(raw["p"]),
+                p=_prime(raw),
                 a_p=quadratic_from_json(raw["a_p"]),
                 good=bool(raw.get("good", True)),
             )

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qcurves.cli import main
+from qcurves.cli import build_parser, main
+from qcurves.serialize import ParseError
 
 
 def run(capsys, *argv):
@@ -282,6 +283,56 @@ def test_traces_failure_exits_one(tmp_path, capsys):
     code, report = run(capsys, "traces", write(tmp_path, "t.json", doc))
     assert code == 1
     assert report["entries"][0]["conjugation_ok"] is False
+
+
+# -- malformed input -------------------------------------------------------------------------
+
+
+def epsilon_values_as_list():
+    doc = traces_doc()
+    doc["epsilon"]["values"] = ["0/1", "1/2", "1/2", "0/1"]
+    return "traces", doc
+
+
+def radical_exponents_as_list():
+    doc = construct_doc(2, 2)
+    doc["cocycle"][0][2] = {"torsion": "0/1", "exponents": [[2, "1/1"]]}
+    return "construct", doc
+
+
+def trace_prime(p):
+    doc = traces_doc()
+    doc["entries"][1]["p"] = p
+    return "traces", doc
+
+
+def frobenius_prime(p):
+    doc = construct_doc(2, 2)
+    doc["frobenius"] = [{"p": p, "class": [1], "a_p": None}]
+    return "construct", doc
+
+
+MALFORMED = {
+    "epsilon_values_list": epsilon_values_as_list,
+    "radical_exponents_list": radical_exponents_as_list,
+    "trace_p_null": lambda: trace_prime(None),
+    "frobenius_p_null": lambda: frobenius_prime(None),
+    "trace_p_float": lambda: trace_prime(7.9),
+    "frobenius_p_float": lambda: frobenius_prime(7.9),
+    "trace_p_bool": lambda: trace_prime(True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
+    command, doc = MALFORMED[case]()
+    path = write(tmp_path, "doc.json", doc)
+    args = build_parser().parse_args([command, path])
+    with pytest.raises(ParseError):
+        args.func(args)
+    code, report = run(capsys, command, path)
+    assert code == 2
+    assert list(report) == ["error"]
 
 
 # -- determinism ---------------------------------------------------------------------------

@@ -109,6 +109,18 @@ def test_group_law_on_random_data():
                         ]
 
 
+def test_eta_is_the_sum_of_the_operators():
+    rng = random.Random(41)
+    for order in (2, 3, 4):
+        for n in (1, 2):
+            datum = random_descent_datum(rng, order, n)
+            dense = [op.to_dense() for op in build_restriction(datum).values()]
+            total = dense[0]
+            for m in dense[1:]:
+                total = linalg.mat_add(total, m)
+            assert eta_descent(datum).eta.to_dense() == total
+
+
 def test_functoriality_on_commuting_data():
     # pointwise product of two diagonal (hence commuting) compatible data
     a = DescentDatum(Z2, 2, {(0,): linalg.identity(2), (1,): [[-1, 0], [0, 1]]})

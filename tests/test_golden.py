@@ -20,6 +20,8 @@ COMMANDS = {
     "algebra": "algebra",
     "split": "split",
     "validate": "validate-cocycle",
+    "descent": "descent",
+    "traces": "traces",
 }
 
 EXIT_CODES = {
@@ -32,6 +34,10 @@ EXIT_CODES = {
     "algebra_not_a_splitting": 1,
     "split_obstructed": 1,
     "validate_invalid": 1,
+    "descent_z4_rank2": 0,
+    "descent_incompatible": 1,
+    "traces_real": 0,
+    "traces_imaginary_perturbed": 1,
 }
 
 

@@ -1,0 +1,102 @@
+"""The datum, the splitting and descent compatibility are each checked once.
+
+A ``QCurveDatum`` keeps the result of its first ``violation()`` call, and a
+``DescentDatum`` keeps its first compatibility scan, so the guards of every
+downstream entry point reuse them.  Invalid input is still rejected with the
+same exception types and messages.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qcurves import serialize
+from qcurves.algebra import AlgebraHom, TwistedGroupAlgebra, hom_from_splitting
+from qcurves.cli import main
+from qcurves.cohomology import OneCochain
+from qcurves.descent import (
+    BlockMap,
+    DescentDatum,
+    build_restriction,
+    eta_descent,
+    iota_equivariance_violation,
+)
+from qcurves.errors import CompatibilityRequired
+from qcurves.pipeline import QCurveDatum
+from qcurves.radicals import RadicalElement
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def counting(monkeypatch, cls, name):
+    counter = {"n": 0}
+    original = getattr(cls, name)
+
+    def wrapper(self):
+        counter["n"] += 1
+        return original(self)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return counter
+
+
+def golden_doc(case):
+    return json.loads((GOLDEN / f"{case}.json").read_text())
+
+
+@pytest.mark.parametrize("case", ["construct_z4", "construct_z2_cubed", "construct_z4_z2"])
+def test_construct_cli_checks_the_datum_once(case, monkeypatch, capsys):
+    checks = counting(monkeypatch, QCurveDatum, "_check")
+    assert main(["construct", str(GOLDEN / f"{case}.json")]) == 0
+    capsys.readouterr()
+    assert checks["n"] == 1
+
+
+def test_hom_from_splitting_is_the_one_splitting_check(monkeypatch):
+    doc = golden_doc("algebra_imaginary")
+    group = serialize.group_from_json(doc["cyclic_orders"])
+    algebra = TwistedGroupAlgebra(group, serialize.cocycle_from_json(doc["cocycle"], group))
+    cochain = serialize.cochain_from_json(doc["splitting"], group)
+    coboundaries = counting(monkeypatch, OneCochain, "coboundary")
+    products = {"n": 0}
+    original = RadicalElement.__mul__
+
+    def mul(self, other):
+        products["n"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(RadicalElement, "__mul__", mul)
+    AlgebraHom(algebra, cochain.values())
+    assert products["n"] == 0
+    hom_from_splitting(algebra, cochain)
+    assert coboundaries["n"] == 1
+
+
+@pytest.mark.parametrize("case", ["descent_z4_rank2", "descent_incompatible"])
+def test_descent_cli_scans_compatibility_once(case, monkeypatch, capsys):
+    scans = counting(monkeypatch, DescentDatum, "_scan")
+    main(["descent", str(GOLDEN / f"{case}.json")])
+    capsys.readouterr()
+    assert scans["n"] == 1
+
+
+def test_build_restriction_composes_nothing(monkeypatch):
+    calls = {"n": 0}
+    original = BlockMap.compose
+
+    def compose(self, other):
+        calls["n"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(BlockMap, "compose", compose)
+    build_restriction(serialize.descent_datum_from_json(golden_doc("descent_z4_rank2")))
+    assert calls["n"] == 0
+
+
+@pytest.mark.parametrize("entry", [build_restriction, eta_descent, iota_equivariance_violation])
+def test_incompatible_datum_rejected_with_its_first_pair(entry):
+    datum = serialize.descent_datum_from_json(golden_doc("descent_incompatible"))
+    with pytest.raises(CompatibilityRequired) as err:
+        entry(datum)
+    assert str(err.value) == "compatibility fails at ((1,), (2,))"
