@@ -180,7 +180,7 @@ def hom_from_splitting(algebra: TwistedGroupAlgebra, a: OneCochain) -> AlgebraHo
     """The quotient map b_g -> a(g) onto the field generated by the values of a."""
     if a.group != algebra.group:
         raise NotASplitting("cochain group does not match the algebra")
-    if a.coboundary() != algebra.cocycle:
+    if not a.splits(algebra.cocycle):
         raise NotASplitting("cochain does not split the algebra's cocycle")
     return AlgebraHom(algebra, a.values())
 

@@ -16,6 +16,12 @@ with the cocycle, which is O(|G|^2); a coboundary is always a cocycle, so
 only on a mismatch does the O(|G|^3) identity scan run, to tell an invalid
 table (its first failing triple) from an obstructed one (its nontrivial
 pairing).  A cocycle keeps the result of its first scan.
+
+Both checks run on plain Python ints, not on radicals: the values are mapped
+once to their integer log coordinates (``radicals.log_coordinates``), where
+a product of radicals is a sum, and group elements are indexed by position
+with a precomputed addition table.  Each identity a b = c d is then one
+integer sum tested against {-D, 0, D}, D the common denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Optional
 
 from .errors import InvalidCocycle
 from .groups import Element, FiniteAbelianGroup, GroupCharacter, all_characters
-from .radicals import RadicalElement
+from .radicals import RadicalElement, log_coordinates
 
 _ONE = RadicalElement.one()
 _UNSCANNED = object()
@@ -66,6 +72,23 @@ class OneCochain:
             for h in self._values:
                 table[(g, h)] = self._values[g] * self._values[h] / self._values[self.group.add(g, h)]
         return TwoCocycle(self.group, table)
+
+    def splits(self, c: "TwoCocycle") -> bool:
+        """Whether the coboundary of this cochain is c: a(g) a(h) = c(g, h) a(gh)
+        for every pair, compared on the integer log coordinates of both tables."""
+        if c.group != self.group:
+            return False
+        elements = self.group.elements()
+        n = len(elements)
+        add = self.group.addition_table()
+        x, zeros = log_coordinates(
+            [self._values[g] for g in elements] + [c(g, h) for g in elements for h in elements]
+        )
+        return all(
+            x[g] + x[h] - x[n + g * n + h] - x[gh] in zeros
+            for g in range(n)
+            for h, gh in enumerate(add[g])
+        )
 
     def twist(self, chi: GroupCharacter) -> "OneCochain":
         return OneCochain(self.group, {g: v * chi(g) for g, v in self._values.items()})
@@ -135,16 +158,20 @@ class TwoCocycle:
         return self._violation
 
     def _scan(self) -> Optional[tuple[Element, Element, Element]]:
+        """The identity c(g,h) c(gh,k) = c(h,k) c(g,hk) on integer log
+        coordinates, in the lexicographic order of (g, h, k)."""
         elements = self.group.elements()
-        c = self._values
-        add = self.group.add
-        for g in elements:
-            for h in elements:
-                gh = add(g, h)
-                left_first = c[(g, h)]
-                for k in elements:
-                    if left_first * c[(gh, k)] != c[(h, k)] * c[(g, add(h, k))]:
-                        return (g, h, k)
+        n = len(elements)
+        add = self.group.addition_table()
+        x, zeros = log_coordinates([self._values[(g, h)] for g in elements for h in elements])
+        rows = [x[i * n : (i + 1) * n] for i in range(n)]
+        for g, row_g in enumerate(rows):
+            for h, c_gh in enumerate(row_g):
+                row_gh = rows[add[g][h]]
+                row_h = rows[h]
+                for k, hk in enumerate(add[h]):
+                    if c_gh + row_gh[k] - row_h[k] - row_g[hk] not in zeros:
+                        return (elements[g], elements[h], elements[k])
         return None
 
     @property
@@ -274,7 +301,7 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
         values[g] = acc
     cochain = OneCochain(group, values)
 
-    if cochain.coboundary() == c:
+    if cochain.splits(c):
         return SplitResult(cochain, None)
     violation = c.violation()
     if violation is not None:
@@ -302,7 +329,7 @@ def power_splits_over_rationals(c: TwoCocycle, k: int) -> bool:
         raise ValueError("power must be a positive integer")
     if not c.is_rational_valued:
         raise ValueError("rational class order is defined for rational cocycles only")
-    d = c**k
+    d = c if k == 1 else c**k
     result = split_cocycle(d)
     if not result.split:
         return False

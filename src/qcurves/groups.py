@@ -61,6 +61,18 @@ class FiniteAbelianGroup:
     def add(self, g: Element, h: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(g, h, self.cyclic_orders))
 
+    def addition_table(self) -> list[list[int]]:
+        """Position in elements() of g + h, indexed by the positions of g and h.
+
+        Built one cyclic factor at a time: in the lexicographic order the
+        position of (g, j) is pos(g) * n + j for j in Z/n.
+        """
+        table = [[0]]
+        for n in self.cyclic_orders:
+            cyclic = [[(j + k) % n for k in range(n)] for j in range(n)]
+            table = [[s * n + t for s in row for t in col] for row in table for col in cyclic]
+        return table
+
     def neg(self, g: Element) -> Element:
         return tuple((-a) % n for a, n in zip(g, self.cyclic_orders))
 

@@ -207,6 +207,40 @@ class RadicalElement:
         return "Rad[" + ("1" if not parts else "*".join(parts)) + "]"
 
 
+def log_coordinates(values: list[RadicalElement]) -> tuple[list[int], frozenset[int]]:
+    """Exact integer log coordinates of a finite family of radicals.
+
+    Let D be the lcm of every torsion and exponent denominator in the family,
+    p_1 < ... < p_s its prime support, and m the largest of D and every
+    |r_p * D|.  The element e(t) * prod p_i^(r_i) maps to
+
+        x = (t * D mod D) + sum_i (r_i * D) * B^i,   B the least power of 2 > 4m,
+
+    one Python int with the torsion numerator in the lowest slot.  Returns
+    the coordinates in the order given and the set Z = {-D, 0, D}.
+
+    For v1, v2, v3, v4 in the family, v1 v2 = v3 v4 exactly when
+    x1 + x2 - x3 - x4 lies in Z.  Each exponent slot of that sum is at most
+    4m < B in absolute value, so the slots cannot carry: the lowest nonzero
+    one is not a multiple of B, and the sum's exponent part E * B vanishes
+    only when every slot does.  Otherwise |E * B| >= B > 4D exceeds the
+    torsion slot, which lies strictly between -2D and 2D, by more than D.
+    In that range the multiples of D are exactly Z.  The bound is what makes
+    the map injective on such sums, so one comparison decides the identity.
+    """
+    family = list({id(v): v for v in values}.values())  # shared values are mapped once
+    exponents = [r for v in family for _, r in v._exponents]
+    den = math.lcm(*(v._torsion.denominator for v in family), *(r.denominator for r in exponents))
+    base = 1 << (4 * max([den, *(int(abs(r) * den) for r in exponents)])).bit_length()
+    primes = sorted({p for v in family for p, _ in v._exponents})
+    weight = {p: base ** (i + 1) for i, p in enumerate(primes)}
+    coordinate = {
+        id(v): int(v._torsion * den) + sum(int(r * den) * weight[p] for p, r in v._exponents)
+        for v in family
+    }
+    return [coordinate[id(v)] for v in values], frozenset((-den, 0, den))
+
+
 ONE = RadicalElement.one()
 MINUS_ONE = RadicalElement.minus_one()
 I = RadicalElement.root_of_unity(Fraction(1, 4))

@@ -29,12 +29,25 @@ def _fail(msg: str) -> "ParseError":
     return ParseError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: not a bool, which Python counts as an int, nor a float."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _prime(raw: dict) -> int:
-    """The "p" field of a table entry: a JSON integer, not a bool or a float."""
+    """The "p" field of a table entry."""
     p = raw["p"]
-    if isinstance(p, bool) or not isinstance(p, int):
+    if not _is_int(p):
         raise _fail(f'"p" must be an integer, got {p!r}')
     return p
+
+
+def _good(raw: dict) -> bool:
+    """The "good" flag of a table entry: a JSON bool, true when absent."""
+    good = raw.get("good", True)
+    if not isinstance(good, bool):
+        raise _fail(f'"good" must be true or false, got {good!r}')
+    return good
 
 
 # -- radicals ---------------------------------------------------------------
@@ -80,7 +93,7 @@ def element_to_json(g: Element) -> list[int]:
 
 
 def group_from_json(obj: Any) -> FiniteAbelianGroup:
-    if not isinstance(obj, list) or not all(isinstance(n, int) for n in obj):
+    if not isinstance(obj, list) or not all(_is_int(n) for n in obj):
         raise _fail('"cyclic_orders" must be a list of integers')
     try:
         return FiniteAbelianGroup(tuple(obj))
@@ -95,12 +108,20 @@ def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
     if not isinstance(obj, list):
         raise _fail('"cocycle" must be a list of [g, h, value] triples')
     table = {}
+    rationals: dict = {}  # each distinct rational value is factored once per document
     for triple in obj:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise _fail(f"bad cocycle triple {triple!r}")
         g = element_from_json(triple[0], group)
         h = element_from_json(triple[1], group)
-        table[(g, h)] = radical_from_json(triple[2])
+        raw = triple[2]
+        if isinstance(raw, (int, str)):
+            q = parse_fraction(raw)
+            if q not in rationals:
+                rationals[q] = RadicalElement.from_rational(q)
+            table[(g, h)] = rationals[q]
+        else:
+            table[(g, h)] = radical_from_json(raw)
     return TwoCocycle(group, table)
 
 
@@ -194,7 +215,7 @@ def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> Frobe
                 p=_prime(raw),
                 frobenius_class=element_from_json(raw["class"], group),
                 a_p=None if a_p is None else radical_from_json(a_p),
-                good_reduction=bool(raw.get("good", True)),
+                good_reduction=_good(raw),
             )
         )
     return FrobeniusAssignment(tuple(entries))
@@ -222,7 +243,7 @@ def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
         raise _fail("descent document must be an object")
     group = group_from_json(obj.get("cyclic_orders"))
     block_rank = obj.get("block_rank")
-    if not isinstance(block_rank, int) or block_rank < 1:
+    if not _is_int(block_rank) or block_rank < 1:
         raise _fail('"block_rank" must be a positive integer')
     raw_mu = obj.get("mu")
     if not isinstance(raw_mu, list):
@@ -271,7 +292,7 @@ def character_from_json(obj: Any) -> DirichletCharacterData:
     if not isinstance(obj, dict) or "modulus" not in obj:
         raise _fail('"epsilon" must be an object with "modulus" and "values"')
     modulus = obj["modulus"]
-    if not isinstance(modulus, int) or modulus < 1:
+    if not _is_int(modulus) or modulus < 1:
         raise _fail('"modulus" must be a positive integer')
     raw_values = obj.get("values") or {}
     if not isinstance(raw_values, dict):
@@ -304,7 +325,7 @@ def trace_table_from_json(obj: Any) -> TraceTable:
     if not isinstance(obj, dict):
         raise _fail("trace-table document must be an object")
     raw_gens = obj.get("E_generators", [])
-    if not isinstance(raw_gens, list) or not all(isinstance(d, int) for d in raw_gens):
+    if not isinstance(raw_gens, list) or not all(_is_int(d) for d in raw_gens):
         raise _fail('"E_generators" must be a list of squarefree integers')
     try:
         field_e = MultiquadraticField.from_square_classes(raw_gens)
@@ -322,11 +343,11 @@ def trace_table_from_json(obj: Any) -> TraceTable:
             TraceEntry(
                 p=_prime(raw),
                 a_p=quadratic_from_json(raw["a_p"]),
-                good=bool(raw.get("good", True)),
+                good=_good(raw),
             )
         )
     bad = obj.get("bad_primes", [])
-    if not isinstance(bad, list) or not all(isinstance(p, int) for p in bad):
+    if not isinstance(bad, list) or not all(_is_int(p) for p in bad):
         raise _fail('"bad_primes" must be a list of integers')
     try:
         return TraceTable(field_e, epsilon, entries, set(bad))

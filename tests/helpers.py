@@ -92,6 +92,25 @@ def mu8_sqrt2_pool() -> list[RadicalElement]:
 
 
 # ---------------------------------------------------------------------------
+# Cocycle-identity oracle: the scan by radical arithmetic
+# ---------------------------------------------------------------------------
+
+
+def radical_scan(c: TwoCocycle):
+    """First triple (g, h, k), in lexicographic order, with
+    c(g,h) c(gh,k) != c(h,k) c(g,hk) as radicals, or None."""
+    elements = c.group.elements()
+    add = c.group.add
+    for g in elements:
+        for h in elements:
+            gh = add(g, h)
+            for k in elements:
+                if c(g, h) * c(gh, k) != c(h, k) * c(g, add(h, k)):
+                    return (g, h, k)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Projector oracle: the idempotent by exact linear algebra
 # ---------------------------------------------------------------------------
 

@@ -312,6 +312,41 @@ def frobenius_prime(p):
     return "construct", doc
 
 
+def trace_good(flag):
+    doc = traces_doc()
+    doc["entries"][0]["good"] = flag
+    return "traces", doc
+
+
+def frobenius_good(flag):
+    doc = construct_doc(2, 2)
+    doc["frobenius"] = [{"p": 7, "class": [1], "a_p": None, "good": flag}]
+    return "construct", doc
+
+
+def descent_block_rank_bool():
+    doc = {"cyclic_orders": [2], "block_rank": True, "mu": [[[0], [["1/1"]]], [[1], [["1/1"]]]]}
+    return "descent", doc
+
+
+def bad_primes_bool():
+    doc = traces_doc()
+    doc["bad_primes"] = [True]
+    return "traces", doc
+
+
+def epsilon_modulus_bool():
+    doc = traces_doc()
+    doc["epsilon"] = {"modulus": True, "values": {}}
+    return "traces", doc
+
+
+def e_generators_bool():
+    doc = traces_doc()
+    doc["E_generators"] = [True]
+    return "traces", doc
+
+
 MALFORMED = {
     "epsilon_values_list": epsilon_values_as_list,
     "radical_exponents_list": radical_exponents_as_list,
@@ -320,6 +355,13 @@ MALFORMED = {
     "trace_p_float": lambda: trace_prime(7.9),
     "frobenius_p_float": lambda: frobenius_prime(7.9),
     "trace_p_bool": lambda: trace_prime(True),
+    "trace_good_string": lambda: trace_good("false"),
+    "frobenius_good_string": lambda: frobenius_good("false"),
+    "frobenius_good_int": lambda: frobenius_good(0),
+    "descent_block_rank_bool": descent_block_rank_bool,
+    "bad_primes_bool": bad_primes_bool,
+    "epsilon_modulus_bool": epsilon_modulus_bool,
+    "e_generators_bool": e_generators_bool,
 }
 
 

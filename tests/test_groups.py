@@ -23,6 +23,16 @@ def test_element_arithmetic():
     assert Z2xZ4.element_order((0, 1)) == 4
 
 
+@pytest.mark.parametrize("orders", [(), (6,), (2, 4), (3, 2, 2), (4, 4)])
+def test_addition_table_indexes_the_group_law(orders):
+    group = FiniteAbelianGroup(orders)
+    elements = group.elements()
+    table = group.addition_table()
+    assert [[elements[k] for k in row] for row in table] == [
+        [group.add(g, h) for h in elements] for g in elements
+    ]
+
+
 def test_membership_checks():
     assert Z6.contains((5,))
     assert not Z6.contains((6,))
