@@ -54,7 +54,7 @@ def _index_key(x: int) -> int:
 def reduce_square_classes(classes: Iterable[int]) -> tuple[int, ...]:
     """Canonical reduced basis (RREF over F_2) of the span of square classes."""
     rows: list[set[int]] = []
-    for d in classes:
+    for d in dict.fromkeys(classes):  # a repeated class adds nothing to the span
         support = set(_class_support(squarefree_part(Fraction(d))))
         for row in rows:
             if row and min(row, key=_index_key) in support:
@@ -198,7 +198,7 @@ class QuadraticElement:
 
     @classmethod
     def from_rational(cls, q) -> "QuadraticElement":
-        return cls(Fraction(q), Fraction(0), 1)
+        return _trusted(Fraction(q), _ZERO, 1)
 
     @classmethod
     def from_radical(cls, x: RadicalElement) -> "QuadraticElement":
@@ -240,20 +240,24 @@ class QuadraticElement:
     def __add__(self, other):
         other = _as_quadratic(other)
         d = self._join(other)
-        return QuadraticElement(self.a + other.a, self.b + other.b, d)
+        return _trusted(self.a + other.a, self.b + other.b, d)
 
     def __sub__(self, other):
         other = _as_quadratic(other)
         d = self._join(other)
-        return QuadraticElement(self.a - other.a, self.b - other.b, d)
+        return _trusted(self.a - other.a, self.b - other.b, d)
 
     def __neg__(self):
-        return QuadraticElement(-self.a, -self.b, self.d)
+        return _trusted(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         other = _as_quadratic(other)
+        if not other.b:  # a rational factor scales both coordinates
+            return _trusted(self.a * other.a, self.b * other.a, self.d)
+        if not self.b:
+            return _trusted(self.a * other.a, self.a * other.b, other.d)
         d = self._join(other)
-        return QuadraticElement(
+        return _trusted(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -263,8 +267,10 @@ class QuadraticElement:
         other = _as_quadratic(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero quadratic element")
+        if not other.b:
+            return _trusted(self.a / other.a, self.b / other.a, self.d)
         norm = other.a * other.a - other.b * other.b * other.d
-        inv = QuadraticElement(other.a / norm, -other.b / norm, other.d)
+        inv = _trusted(other.a / norm, -other.b / norm, other.d)
         return self * inv
 
     def square(self) -> "QuadraticElement":
@@ -272,7 +278,7 @@ class QuadraticElement:
 
     def conjugate(self) -> "QuadraticElement":
         """The nontrivial automorphism a + b*sqrt(d) -> a - b*sqrt(d)."""
-        return QuadraticElement(self.a, -self.b, self.d)
+        return _trusted(self.a, -self.b, self.d)
 
     def embedding_moduli(self) -> tuple[float, ...]:
         """|sigma(x)| over the embeddings of Q(sqrt(d)); floats, for bounds only."""
@@ -288,6 +294,22 @@ class QuadraticElement:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
+_ZERO = Fraction(0)
+
+
+def _trusted(a: Fraction, b: Fraction, d: int) -> QuadraticElement:
+    """An arithmetic result or a constant, built without the public
+    constructor's checks.
+
+    a and b are Fractions already and d is squarefree: a class some operand
+    was built with, or a literal class.  Only d = 1 for b = 0 is restored, so
+    equality and hashing see the same fields as for a publicly built element.
+    """
+    x = object.__new__(QuadraticElement)
+    x.__dict__.update(a=a, b=b, d=d if b else 1)
+    return x
+
+
 def _as_quadratic(x) -> QuadraticElement:
     if isinstance(x, QuadraticElement):
         return x
@@ -297,14 +319,14 @@ def _as_quadratic(x) -> QuadraticElement:
 
 
 _TORSION_AS_QUADRATIC = {
-    Fraction(0): (Fraction(1), Fraction(0), 1),
-    Fraction(1, 2): (Fraction(-1), Fraction(0), 1),
-    Fraction(1, 4): (Fraction(0), Fraction(1), -1),
-    Fraction(3, 4): (Fraction(0), Fraction(-1), -1),
-    Fraction(1, 3): (Fraction(-1, 2), Fraction(1, 2), -3),
-    Fraction(2, 3): (Fraction(-1, 2), Fraction(-1, 2), -3),
-    Fraction(1, 6): (Fraction(1, 2), Fraction(1, 2), -3),
-    Fraction(5, 6): (Fraction(1, 2), Fraction(-1, 2), -3),
+    Fraction(0): _trusted(Fraction(1), _ZERO, 1),
+    Fraction(1, 2): _trusted(Fraction(-1), _ZERO, 1),
+    Fraction(1, 4): _trusted(_ZERO, Fraction(1), -1),
+    Fraction(3, 4): _trusted(_ZERO, Fraction(-1), -1),
+    Fraction(1, 3): _trusted(Fraction(-1, 2), Fraction(1, 2), -3),
+    Fraction(2, 3): _trusted(Fraction(-1, 2), Fraction(-1, 2), -3),
+    Fraction(1, 6): _trusted(Fraction(1, 2), Fraction(1, 2), -3),
+    Fraction(5, 6): _trusted(Fraction(1, 2), Fraction(-1, 2), -3),
 }
 
 
@@ -313,9 +335,8 @@ def root_of_unity_as_quadratic(value: RadicalElement) -> QuadraticElement:
     if not value.is_root_of_unity:
         raise ValueOutsideField(f"{value!r} is not a root of unity")
     try:
-        a, b, d = _TORSION_AS_QUADRATIC[value.torsion]
+        return _TORSION_AS_QUADRATIC[value.torsion]
     except KeyError:
         raise ValueOutsideField(
             f"root of unity of order {value.torsion.denominator} is not quadratic"
         ) from None
-    return QuadraticElement(a, b, d)

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .radicals import RadicalElement
 
@@ -44,6 +44,11 @@ class FiniteAbelianGroup:
 
     def elements(self) -> list[Element]:
         return [tuple(g) for g in itertools.product(*(range(n) for n in self.cyclic_orders))]
+
+    @cached_property
+    def element_set(self) -> frozenset[Element]:
+        """The elements as a set, built once per group, for membership tests."""
+        return frozenset(self.elements())
 
     def contains(self, g) -> bool:
         return (

@@ -178,10 +178,6 @@ class RadicalElement:
             q, d = -q, -d
         return q, d
 
-    def square_class(self) -> int:
-        """Squarefree d with the element in Q* . sqrt(d); multiquadratic regime only."""
-        return self.as_sqrt_multiple()[1]
-
     def complex_value(self) -> complex:
         """Floating-point value; for testing against exact arithmetic only."""
         z = cmath.exp(2j * cmath.pi * float(self._torsion))

@@ -82,10 +82,12 @@ def radical_from_json(obj: Any) -> RadicalElement:
 def element_from_json(obj: Any, group: FiniteAbelianGroup) -> Element:
     if not isinstance(obj, (list, tuple)):
         raise _fail(f"expected a group element (list of ints), got {obj!r}")
-    try:
-        return group.check_element(tuple(int(x) for x in obj))
-    except (TypeError, ValueError) as exc:
-        raise _fail(str(exc)) from None
+    if not {*map(type, obj)} <= {int}:  # JSON integers only: no floats, strings or bools
+        raise _fail(f"group element entries must be integers, got {obj!r}")
+    g = tuple(obj)
+    if g not in group.element_set:
+        raise _fail(f"{g} is not an element of {group}")
+    return g
 
 
 def element_to_json(g: Element) -> list[int]:

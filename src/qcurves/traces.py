@@ -2,7 +2,11 @@
 
 A table carries a multiquadratic field E, explicit Dirichlet character data,
 and entries (p, a_p) with a good-reduction flag; flagged-bad entries join the
-exceptional set and are excluded from every check.  The checks are exact:
+exceptional set and are excluded from every check.  The character is checked
+once, where it enters: every unit must carry a root of unity, and
+multiplicativity is checked on generators of (Z/N)^* in integer torsion
+coordinates (see DirichletCharacterData).  Its values are converted to
+quadratic coordinates once per residue class.  The checks are exact:
 
 * conjugation symmetry: a_p equals its canonical involute times the character
   value at p, where the involution is trivial on a totally real E and is the
@@ -22,11 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
-from .arith import is_prime
+from .arith import is_prime, squarefree_part
 from .errors import NotTotallyReal, ValueOutsideField
 from .fields import (
     MultiquadraticField,
@@ -37,8 +39,57 @@ from .fields import (
 from .radicals import RadicalElement
 
 
+def _greedy_generators(modulus: int, units: list[int]) -> list[int]:
+    """Units that generate (Z/N)^*: each unit, in ascending order, outside the
+    subgroup spanned so far.  Each step closes that subgroup H under the new
+    generator u as the union of the cosets H u^j, so the closure costs O(phi(N))
+    in all."""
+    span = {1 % modulus}
+    generators = []
+    for u in units:
+        if u in span:
+            continue
+        generators.append(u)
+        cosets = []
+        power = u
+        while power not in span:
+            cosets.extend(h * power % modulus for h in span)
+            power = power * u % modulus
+        span.update(cosets)
+    return generators
+
+
+def _multiplicative_on_generators(modulus: int, den: int, units: list[int], k: dict) -> bool:
+    """k(r g) = k(r) + k(g) mod den for every unit r and greedy generator g."""
+    for g in _greedy_generators(modulus, units):
+        kg = k[g]
+        if any(k[r * g % modulus] != (k[r] + kg) % den for r in units):
+            return False
+    return True
+
+
+def _first_failing_pair(modulus: int, den: int, units: list[int], k: dict) -> tuple[int, int]:
+    """The first pair (r, s) of units, in lexicographic order, with
+    k(rs) != k(r) + k(s) mod den."""
+    return next(
+        (r, s) for r in units for s in units if k[r * s % modulus] != (k[r] + k[s]) % den
+    )
+
+
 class DirichletCharacterData:
-    """Explicit character table modulo N: residue -> root of unity."""
+    """Explicit character table modulo N: residue -> root of unity.
+
+    Multiplicativity is checked on generators, in integers.  Each value e(t)
+    is mapped to its torsion numerator k = t D over D, the lcm of the torsion
+    denominators, so chi(r) chi(s) = chi(rs) reads k(r) + k(s) = k(rs) mod D.
+    With chi(1) = 1 checked first, it suffices to check chi(r g) = chi(r)
+    chi(g) for every unit r and every g in a generating set S of (Z/N)^*:
+    every unit is a positive word g_1 ... g_k in S (the group is finite), so
+    by induction on k, chi(r s) = chi(r) chi(g_1) ... chi(g_k) = chi(r) chi(s).
+    That is O(phi(N) |S|) additions instead of O(phi(N)^2) radical products.
+    Only when it fails does the full lexicographic scan over pairs (r, s) run,
+    on the same integers, to name the first failing pair.
+    """
 
     def __init__(
         self,
@@ -49,11 +100,10 @@ class DirichletCharacterData:
         self.modulus = int(modulus)
         if self.modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        units = [r for r in range(self.modulus) if math.gcd(r, self.modulus) == 1]
-        if self.modulus == 1:
-            units = [0]  # every residue is a unit mod 1
         table = {}
-        for r in units:
+        for r in range(self.modulus):  # lazily: stops at the first missing unit
+            if math.gcd(r, self.modulus) != 1:  # gcd(0, 1) = 1: 0 is the unit mod 1
+                continue
             v = values.get(r)
             if v is None:
                 raise ValueError(f"character table missing residue {r}")
@@ -63,11 +113,18 @@ class DirichletCharacterData:
         one = 1 % self.modulus
         if not table[one].is_one:
             raise ValueError("character must take the value 1 at the class of 1")
-        for r in units:
-            for s in units:
-                if table[(r * s) % self.modulus] != table[r] * table[s]:
-                    raise ValueError(f"character not multiplicative at ({r}, {s})")
+        self.order = math.lcm(*(v.torsion.denominator for v in table.values()))
+        # torsion numerators over the common denominator D = self.order
+        k = {
+            r: v.torsion.numerator * (self.order // v.torsion.denominator)
+            for r, v in table.items()
+        }
+        units = list(table)
+        if not _multiplicative_on_generators(self.modulus, self.order, units, k):
+            r, s = _first_failing_pair(self.modulus, self.order, units, k)
+            raise ValueError(f"character not multiplicative at ({r}, {s})")
         self.values = table
+        self._quadratic: dict[int, QuadraticElement] = {}
         expected_m1 = table[(-1) % self.modulus]
         if value_at_minus_one is not None and value_at_minus_one != expected_m1:
             raise ValueError("declared value at -1 disagrees with the table")
@@ -85,13 +142,15 @@ class DirichletCharacterData:
             return None
         return self.values[n % self.modulus]
 
-    @property
-    def order(self) -> int:
-        return reduce(
-            lambda a, b: a * b // math.gcd(a, b),
-            (v.torsion.denominator for v in self.values.values()),
-            1,
-        )
+    def quadratic_value(self, n: int) -> QuadraticElement:
+        """The value at an integer prime to N in quadratic coordinates,
+        converted once per residue class (see root_of_unity_as_quadratic)."""
+        r = n % self.modulus
+        try:
+            return self._quadratic[r]
+        except KeyError:
+            value = self._quadratic[r] = root_of_unity_as_quadratic(self(n))
+            return value
 
     @property
     def is_even(self) -> bool:
@@ -154,7 +213,7 @@ def conjugation_symmetry_report(table: TraceTable) -> list[EntryReport]:
     """Check a_p = conj(a_p) * eps(p) for each good entry, in ascending p."""
     reports = []
     for entry in table.good_entries():
-        eps_value = root_of_unity_as_quadratic(table.epsilon(entry.p))
+        eps_value = table.epsilon.quadratic_value(entry.p)
         expected = canonical_involution(table.field_e, entry.a_p) * eps_value
         reports.append(EntryReport(entry.p, expected == entry.a_p))
     return reports
@@ -187,7 +246,7 @@ def generated_field_f(table: TraceTable) -> InnerFieldReport:
     for entry in table.good_entries():
         if entry.a_p.is_zero:
             continue
-        eps_value = root_of_unity_as_quadratic(table.epsilon(entry.p))
+        eps_value = table.epsilon.quadratic_value(entry.p)
         t_values.append(entry.a_p.square() / eps_value)
 
     field_f = MultiquadraticField.from_square_classes(
@@ -201,13 +260,9 @@ def generated_field_f(table: TraceTable) -> InnerFieldReport:
     # the class of the quadratic field the corresponding trace generates, and
     # the roots of unity contribute the quadratic subfields of the cyclotomic.
     adjoined = list(field_f.basis)
-    for t in t_values:
-        if t.is_rational:
-            value = t.rational_value()
-            if value:
-                adjoined.append(RadicalElement.from_rational(value).nth_root(2).square_class())
-        else:
-            adjoined.append(t.generated_class())
+    rationals = dict.fromkeys(t.rational_value() for t in t_values if t.is_rational)
+    adjoined.extend(squarefree_part(value) for value in rationals)  # each distinct t_p once
+    adjoined.extend(t.generated_class() for t in t_values if not t.is_rational)
     adjoined.extend(quadratic_classes_in_cyclotomic(2 * table.epsilon.order))
     span = MultiquadraticField.from_square_classes(adjoined)
     containment_ok = span.contains(table.field_e)
@@ -231,8 +286,8 @@ class CharpolyReport:
 def frobenius_charpoly(entry: TraceEntry, eps: DirichletCharacterData) -> CharpolyReport:
     if not entry.good:
         raise ValueError(f"characteristic polynomial requested at the bad prime {entry.p}")
-    eps_value = root_of_unity_as_quadratic(eps(entry.p))
-    determinant = eps_value * Fraction(entry.p)
+    eps_value = eps.quadratic_value(entry.p)
+    determinant = eps_value * entry.p
     bound = 2 * math.sqrt(entry.p) + 1e-9
     weil_ok = all(m <= bound for m in entry.a_p.embedding_moduli())
     return CharpolyReport(entry.p, entry.a_p, determinant, weil_ok)

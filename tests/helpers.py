@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -107,6 +108,35 @@ def radical_scan(c: TwoCocycle):
             for k in elements:
                 if c(g, h) * c(gh, k) != c(h, k) * c(g, add(h, k)):
                     return (g, h, k)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Character oracle: the full pair scan by radical arithmetic
+# ---------------------------------------------------------------------------
+
+
+def character_check_oracle(modulus: int, values: dict, value_at_minus_one=None):
+    """The ValueError message DirichletCharacterData raises on this table, or
+    None when it accepts it, from the O(phi(N)^2) scan over every pair of
+    units with validated radical products."""
+    if modulus < 1:
+        return "modulus must be a positive integer"
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    for r in units:
+        v = values.get(r)
+        if v is None:
+            return f"character table missing residue {r}"
+        if not v.is_root_of_unity:
+            return f"character value at {r} is not a root of unity"
+    if not values[1 % modulus].is_one:
+        return "character must take the value 1 at the class of 1"
+    for r in units:
+        for s in units:
+            if values[(r * s) % modulus] != values[r] * values[s]:
+                return f"character not multiplicative at ({r}, {s})"
+    if value_at_minus_one is not None and value_at_minus_one != values[(-1) % modulus]:
+        return "declared value at -1 disagrees with the table"
     return None
 
 

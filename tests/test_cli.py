@@ -347,6 +347,11 @@ def e_generators_bool():
     return "traces", doc
 
 
+def group_element(entry):
+    doc = {"cyclic_orders": [4], "values": [[[entry], [1], "1/1"]]}
+    return "validate-cocycle", doc
+
+
 MALFORMED = {
     "epsilon_values_list": epsilon_values_as_list,
     "radical_exponents_list": radical_exponents_as_list,
@@ -362,6 +367,9 @@ MALFORMED = {
     "bad_primes_bool": bad_primes_bool,
     "epsilon_modulus_bool": epsilon_modulus_bool,
     "e_generators_bool": e_generators_bool,
+    "element_float": lambda: group_element(1.9),
+    "element_string": lambda: group_element("2"),
+    "element_bool": lambda: group_element(True),
 }
 
 
@@ -375,6 +383,14 @@ def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
     code, report = run(capsys, command, path)
     assert code == 2
     assert list(report) == ["error"]
+
+
+@pytest.mark.parametrize("element", [[7], [-1], [1, 0], []])
+def test_out_of_range_element_keeps_its_message(element, tmp_path, capsys):
+    doc = {"cyclic_orders": [4], "values": [[element, [1], "1/1"]]}
+    code, report = run(capsys, "validate-cocycle", write(tmp_path, "doc.json", doc))
+    assert code == 2
+    assert report == {"error": f"{tuple(element)} is not an element of Z/4"}
 
 
 # -- determinism ---------------------------------------------------------------------------

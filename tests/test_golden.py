@@ -38,6 +38,9 @@ EXIT_CODES = {
     "descent_incompatible": 1,
     "traces_real": 0,
     "traces_imaginary_perturbed": 1,
+    "traces_phi192": 0,
+    "traces_not_multiplicative": 2,
+    "traces_quintic_character": 1,
 }
 
 
