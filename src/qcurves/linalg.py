@@ -74,23 +74,6 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    m = len(a[0])
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * m
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     """One solution of A x = b, or None when inconsistent."""
     if not a:
@@ -109,11 +92,3 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
 def is_invertible(a: Matrix) -> bool:
     return bool(a) and len(a) == len(a[0]) and rank(a) == len(a)
 
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    augmented = tuple(row + ident_row for row, ident_row in zip(a, identity(n)))
-    reduced, pivots = rref(augmented)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)

@@ -9,6 +9,7 @@ object keyed by decimal prime strings; quadratic field elements are objects
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any
 
 from .arith import format_fraction, parse_fraction
@@ -18,7 +19,7 @@ from .groups import Element, FiniteAbelianGroup
 from .pipeline import FrobeniusAssignment, FrobeniusEntry, QCurveDatum
 from .radicals import RadicalElement
 from .traces import DirichletCharacterData, TraceEntry, TraceTable
-from . import descent, linalg
+from . import descent
 
 
 class ParseError(ValueError):
@@ -226,7 +227,8 @@ def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> Frobe
 # -- descent documents --------------------------------------------------------
 
 
-def matrix_from_json(obj: Any, n: int) -> linalg.Matrix:
+def matrix_from_json(obj: Any, n: int) -> list[list[Fraction]]:
+    """Rows of Fractions; ``DescentDatum`` makes them its exact matrices."""
     if not isinstance(obj, list) or len(obj) != n:
         raise _fail(f"expected an {n} x {n} matrix")
     rows = []
@@ -237,7 +239,7 @@ def matrix_from_json(obj: Any, n: int) -> linalg.Matrix:
             rows.append([parse_fraction(x) for x in row])
         except ValueError as exc:
             raise _fail(str(exc)) from None
-    return linalg.matrix(rows)
+    return rows
 
 
 def descent_datum_from_json(obj: Any) -> descent.DescentDatum:

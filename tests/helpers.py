@@ -18,15 +18,17 @@ from qcurves import (
     TwistedGroupAlgebra,
     TwoCocycle,
 )
-from qcurves.descent import DescentDatum
+from qcurves.descent import BlockMap, DescentDatum, DescentReport, build_restriction
 from qcurves.linalg import (
     Matrix,
+    Vector,
     identity,
-    inverse,
     is_invertible,
     mat_mul,
+    mat_scale,
     matrix,
-    nullspace,
+    rank,
+    rref,
     solve,
 )
 from qcurves.radicals import RadicalElement
@@ -141,6 +143,37 @@ def character_check_oracle(modulus: int, values: dict, value_at_minus_one=None):
 
 
 # ---------------------------------------------------------------------------
+# Exact linear algebra used only by the oracles
+# ---------------------------------------------------------------------------
+
+
+def nullspace(a: Matrix) -> list[Vector]:
+    """Basis of the right kernel."""
+    if not a:
+        return []
+    reduced, pivots = rref(a)
+    m = len(a[0])
+    free = [j for j in range(m) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def inverse(a: Matrix) -> Matrix:
+    n = len(a)
+    augmented = tuple(row + ident_row for row, ident_row in zip(a, identity(n)))
+    reduced, pivots = rref(augmented)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+# ---------------------------------------------------------------------------
 # Projector oracle: the idempotent by exact linear algebra
 # ---------------------------------------------------------------------------
 
@@ -212,6 +245,8 @@ ORDER_SEEDS = {
     (2, 3): [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, -1]]],
     (3, 2): [[[0, -1], [1, -1]]],
     (3, 3): [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, -1, 0], [1, -1, 0], [0, 0, 1]]],
+    (4, 2): [[[0, -1], [1, 0]]],
+    (4, 3): [[[0, -1, 0], [1, 0, 0], [0, 0, -1]]],
 }
 
 
@@ -222,22 +257,101 @@ def random_invertible(rng: random.Random, n: int):
             return m
 
 
-def random_descent_datum(rng: random.Random, order: int, block_rank: int) -> DescentDatum:
-    """Compatible datum on Z/order: mu at the generator has order dividing `order`."""
-    group = FiniteAbelianGroup((order,))
-    choices = ORDER_SEEDS.get((order, block_rank))
-    if choices is None or rng.random() < 0.2:
-        seed = identity(block_rank)
+def random_descent_datum(rng: random.Random, cyclic_orders, block_rank: int) -> DescentDatum:
+    """Compatible datum on the product of Z/m over ``cyclic_orders``.
+
+    The generator images commute and the i-th has order dividing m_i: random
+    diagonal signs (identity on odd factors), or powers B^j of one seed of
+    order d with d | j m_i (j = 0 only when no other j fits).  All are
+    conjugated by one random invertible P.
+    """
+    group = FiniteAbelianGroup(tuple(cyclic_orders))
+    n = block_rank
+    if rng.random() < 0.4:
+        images = []
+        for m in group.cyclic_orders:
+            signs = [rng.choice((1, -1)) if m % 2 == 0 else 1 for _ in range(n)]
+            images.append(matrix([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]))
     else:
-        seed = matrix(rng.choice(choices))
-    p = random_invertible(rng, block_rank)
-    m = mat_mul(mat_mul(p, seed), inverse(p))
+        d, seeds = rng.choice([(d, seeds) for (d, size), seeds in ORDER_SEEDS.items() if size == n])
+        seed = matrix(rng.choice(seeds))
+        powers = [identity(n)]
+        for _ in range(d - 1):
+            powers.append(mat_mul(powers[-1], seed))
+        images = [
+            powers[rng.choice([j for j in range(1, d) if j * m % d == 0] or [0])]
+            for m in group.cyclic_orders
+        ]
+    p = random_invertible(rng, n)
+    p_inv = inverse(p)
+    images = [mat_mul(mat_mul(p, a), p_inv) for a in images]
     mu = {}
-    power = identity(block_rank)
-    for k in range(order):
-        mu[(k,)] = power
-        power = mat_mul(m, power)
-    return DescentDatum(group, block_rank, mu)
+    for g in group.elements():
+        m = identity(n)
+        for image, k in zip(images, g):
+            for _ in range(k):
+                m = mat_mul(m, image)
+        mu[g] = m
+    return DescentDatum(group, n, mu)
+
+
+def scale_block_map(m: BlockMap, s) -> BlockMap:
+    return BlockMap(m.source, m.target, {key: mat_scale(b, s) for key, b in m.blocks.items()})
+
+
+def dense(m: BlockMap) -> Matrix:
+    """Full matrix in slot-major order (target rows, source columns)."""
+    n = m.source.block_rank
+    rows = []
+    for t_label in m.target.labels:
+        for i in range(n):
+            row = []
+            for s_label in m.source.labels:
+                block = m.blocks.get((t_label, s_label))
+                row.extend(block[i] if block else (Fraction(0),) * n)
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def compatibility_pair_scan(datum: DescentDatum):
+    """First pair (s, t), in lexicographic order, with mu(s) mu(t) != mu(st),
+    or None: the identity on all |G|^2 pairs."""
+    elements = datum.group.elements()
+    for s in elements:
+        for t in elements:
+            if mat_mul(datum.mu[s], datum.mu[t]) != datum.mu[datum.group.add(s, t)]:
+                return (s, t)
+    return None
+
+
+def eta_oracle(datum: DescentDatum) -> DescentReport:
+    """The descent report by block algebra on a compatible datum: eta as the
+    sum of the operators, fixed by composing with each, idempotency of
+    eta/|G| by composition, and ranks of the dense matrix and its slices."""
+    operators = build_restriction(datum)
+    group = datum.group
+    product = datum.product()
+    blocks = {key: block for op in operators.values() for key, block in op.blocks.items()}
+    eta = BlockMap(product, product, blocks)
+    fixed = all(
+        operators[g].compose(eta) == eta and eta.compose(operators[g]) == eta
+        for g in group.elements()
+    )
+    average = scale_block_map(eta, Fraction(1, group.order))
+    idempotent_ok = average.compose(average) == average
+    matrix_ = dense(eta)
+    eta_rank = rank(matrix_)
+    n = datum.block_rank
+    diagonal_ok = eta_rank == n and all(
+        rank(matrix_[i * n : (i + 1) * n]) == n for i in range(group.order)
+    )
+    return DescentReport(
+        eta=eta,
+        idempotent_ok=idempotent_ok,
+        rank=eta_rank,
+        fixed_by_all=fixed,
+        diagonal_image_ok=diagonal_ok,
+    )
 
 
 # ---------------------------------------------------------------------------

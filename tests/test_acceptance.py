@@ -204,7 +204,7 @@ def test_acceptance_07_descent_suite():
     count = 0
     while count < 50:
         order, n = configs[count % len(configs)]
-        datum = random_descent_datum(rng, order, n)
+        datum = random_descent_datum(rng, (order,), n)
         operators = build_restriction(datum)
         for s in datum.group.elements():
             for t in datum.group.elements():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qcurves import cli
 from qcurves.cli import build_parser, main
 from qcurves.serialize import ParseError
 
@@ -40,6 +41,29 @@ def test_quadratic_zero_is_bad_input(capsys):
     code, report = run(capsys, "quadratic", "-m", "0", "--k-signature", "real")
     assert code == 2
     assert "error" in report
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = {"n": 0}
+    original = cli.build_parser
+
+    def build():
+        builds["n"] += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        for m, expected in (("2", 0), ("-3", 1)):
+            code, _ = run(capsys, "quadratic", "-m", m, "--k-signature", "imaginary")
+            assert code == expected
+        with pytest.raises(SystemExit) as usage_error:
+            main(["descent"])
+        assert usage_error.value.code == 2
+        assert "usage: qcurves descent" in capsys.readouterr().err
+        assert builds["n"] == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 # -- cocycle validation -----------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcurves import linalg
 from qcurves.descent import (
@@ -20,7 +21,13 @@ from qcurves.errors import CompatibilityRequired
 from qcurves.groups import FiniteAbelianGroup
 from qcurves.quadratic import order_two_datum
 
-from helpers import random_descent_datum
+from helpers import (
+    compatibility_pair_scan,
+    dense,
+    eta_oracle,
+    random_descent_datum,
+    scale_block_map,
+)
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -100,7 +107,7 @@ def test_group_law_on_random_data():
     for order in (2, 3):
         for n in (1, 2, 3):
             for _ in range(5):
-                datum = random_descent_datum(rng, order, n)
+                datum = random_descent_datum(rng, (order,), n)
                 operators = build_restriction(datum)
                 for s in datum.group.elements():
                     for t in datum.group.elements():
@@ -113,12 +120,12 @@ def test_eta_is_the_sum_of_the_operators():
     rng = random.Random(41)
     for order in (2, 3, 4):
         for n in (1, 2):
-            datum = random_descent_datum(rng, order, n)
-            dense = [op.to_dense() for op in build_restriction(datum).values()]
-            total = dense[0]
-            for m in dense[1:]:
+            datum = random_descent_datum(rng, (order,), n)
+            matrices = [dense(op) for op in build_restriction(datum).values()]
+            total = matrices[0]
+            for m in matrices[1:]:
                 total = linalg.mat_add(total, m)
-            assert eta_descent(datum).eta.to_dense() == total
+            assert dense(eta_descent(datum).eta) == total
 
 
 def test_functoriality_on_commuting_data():
@@ -143,7 +150,7 @@ def test_functoriality_on_commuting_data():
 
 def test_eta_on_trivial_z2():
     report = eta_descent(trivial_datum(Z2))
-    assert report.eta.to_dense() == linalg.matrix([[1, 1], [1, 1]])
+    assert dense(report.eta) == linalg.matrix([[1, 1], [1, 1]])
     assert report.rank == 1
     assert report.idempotent_ok
     assert report.fixed_by_all
@@ -167,12 +174,64 @@ def test_eta_random_data():
     for order in (2, 3):
         for n in (1, 2, 3):
             for _ in range(4):
-                datum = random_descent_datum(rng, order, n)
+                datum = random_descent_datum(rng, (order,), n)
                 report = eta_descent(datum)
                 assert report.rank == n
                 assert report.idempotent_ok
                 assert report.fixed_by_all
                 assert report.diagonal_image_ok
+
+
+# -- closed form against the block-algebra oracle, on cyclic and product groups ----------
+
+SHAPES = [(2,), (3,), (4,), (6,), (2, 2), (2, 3), (4, 2), (2, 2, 2)]
+SCALARS = [Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def compatible_data(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(1, 3))
+    return random_descent_datum(random.Random(draw(st.integers(0, 2**32))), shape, n)
+
+
+@st.composite
+def perturbed_data(draw):
+    """A compatible datum with mu changed at one element other than 0 (scaled
+    by a rational other than 1, or shifted in a single entry), or twisted on
+    one cyclic factor: mu(s) q^(s_i), compatible exactly when q^(m_i) = 1."""
+    datum = draw(compatible_data())
+    group, n = datum.group, datum.block_rank
+    mode = draw(st.sampled_from(("scalar", "entry", "twist")))
+    if mode == "twist":
+        i = draw(st.integers(0, len(group.cyclic_orders) - 1))
+        q = draw(st.sampled_from(SCALARS))
+        return DescentDatum(
+            group, n, {g: linalg.mat_scale(m, q ** g[i]) for g, m in datum.mu.items()}
+        )
+    g = draw(st.sampled_from(group.elements()[1:]))
+    m = [list(row) for row in datum.mu[g]]
+    if mode == "scalar":
+        q = draw(st.sampled_from(SCALARS))
+        m = [[x * q for x in row] for row in m]
+    else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] += draw(st.sampled_from((-2, -1, 1, Fraction(1, 3))))
+    assume(linalg.is_invertible(linalg.matrix(m)))
+    return DescentDatum(group, n, {**datum.mu, g: m})
+
+
+@settings(max_examples=40, deadline=None)
+@given(compatible_data())
+def test_closed_form_eta_matches_the_block_algebra_oracle(datum):
+    assert compatibility_pair_scan(datum) is None
+    assert eta_descent(datum) == eta_oracle(datum)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_data())
+def test_generator_check_names_the_first_failing_pair(datum):
+    assert compatibility_violation(datum) == compatibility_pair_scan(datum)
 
 
 # -- equivariance ---------------------------------------------------------------------
@@ -217,7 +276,7 @@ def test_product_action_satisfies_twisted_multiplication():
     for g in Z2.elements():
         for h in Z2.elements():
             composite = action[g].compose(action[h])
-            scaled = action[Z2.add(g, h)].scale(datum.cocycle.rational_value(g, h))
+            scaled = scale_block_map(action[Z2.add(g, h)], datum.cocycle.rational_value(g, h))
             assert composite == scaled
 
 

@@ -3,15 +3,17 @@
 A ``QCurveDatum`` keeps the result of its first ``violation()`` call, and a
 ``DescentDatum`` keeps its first compatibility scan, so the guards of every
 downstream entry point reuse them.  Invalid input is still rejected with the
-same exception types and messages.
+same exception types and messages.  A compatible descent checks the identity
+on generators only and runs no block algebra.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from qcurves import serialize
+from qcurves import linalg, serialize
 from qcurves.algebra import AlgebraHom, TwistedGroupAlgebra, hom_from_splitting
 from qcurves.cli import main
 from qcurves.cohomology import OneCochain
@@ -19,12 +21,15 @@ from qcurves.descent import (
     BlockMap,
     DescentDatum,
     build_restriction,
+    compatibility_violation,
     eta_descent,
     iota_equivariance_violation,
 )
 from qcurves.errors import CompatibilityRequired
 from qcurves.pipeline import QCurveDatum
 from qcurves.radicals import RadicalElement
+
+from helpers import random_descent_datum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,3 +105,32 @@ def test_incompatible_datum_rejected_with_its_first_pair(entry):
     with pytest.raises(CompatibilityRequired) as err:
         entry(datum)
     assert str(err.value) == "compatibility fails at ((1,), (2,))"
+
+
+def test_compatible_descent_cli_runs_no_block_algebra(monkeypatch, capsys):
+    composes = counting(monkeypatch, BlockMap, "compose")
+    rrefs = counting(monkeypatch, linalg, "rref")
+    products = counting(monkeypatch, linalg, "mat_mul")
+    assert main(["descent", str(GOLDEN / "descent_z4_rank2.json")]) == 0
+    capsys.readouterr()
+    order, generators = 4, 1
+    assert composes["n"] == 0
+    # one rank per matrix, for the invertibility check at construction
+    assert rrefs["n"] == order
+    assert products["n"] <= order * generators
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 2), (4, 2), (2, 2, 2), (2, 2, 2, 2)])
+def test_compatibility_is_checked_on_generators(shape, monkeypatch):
+    datum = random_descent_datum(random.Random(sum(shape)), shape, 2)
+    products = counting(monkeypatch, linalg, "mat_mul")
+    assert compatibility_violation(datum) is None
+    assert products["n"] <= datum.group.order * len(shape)
+
+
+def test_incompatible_descent_cli_names_its_first_pair(capsys):
+    assert main(["descent", str(GOLDEN / "descent_incompatible.json")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"compatible": False, "violation": [[1], [2]]}
+    datum = serialize.descent_datum_from_json(golden_doc("descent_incompatible"))
+    assert compatibility_violation(datum) == ((1,), (2,))
