@@ -247,6 +247,8 @@ ORDER_SEEDS = {
     (3, 3): [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, -1, 0], [1, -1, 0], [0, 0, 1]]],
     (4, 2): [[[0, -1], [1, 0]]],
     (4, 3): [[[0, -1, 0], [1, 0, 0], [0, 0, -1]]],
+    (6, 2): [[[1, -1], [1, 0]]],
+    (6, 3): [[[1, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, -1, 0], [1, 0, 0], [0, 0, -1]]],
 }
 
 
@@ -260,28 +262,44 @@ def random_invertible(rng: random.Random, n: int):
 def random_descent_datum(rng: random.Random, cyclic_orders, block_rank: int) -> DescentDatum:
     """Compatible datum on the product of Z/m over ``cyclic_orders``.
 
-    The generator images commute and the i-th has order dividing m_i: random
-    diagonal signs (identity on odd factors), or powers B^j of one seed of
-    order d with d | j m_i (j = 0 only when no other j fits).  All are
-    conjugated by one random invertible P.
+    The generator images commute and the i-th has order dividing m_i.  In a
+    fifth of the draws they are all the identity.  Otherwise, when every m_i
+    is even, two times in five they are random diagonal signs, each with at
+    least one -1.  The rest are powers B^j of one seed B of exact order d,
+    with d sharing a factor with every m_i (with some m_i, if no seed does)
+    and 1 <= j < d, d | j m_i; so the image of a factor is the identity only
+    when no rational seed of size ``block_rank`` has an order sharing a
+    factor with m_i (an odd m_i at size 1).  All images are conjugated by one
+    random invertible P.
     """
     group = FiniteAbelianGroup(tuple(cyclic_orders))
+    orders = group.cyclic_orders
     n = block_rank
-    if rng.random() < 0.4:
+    if rng.random() < 0.2:
+        images = [identity(n) for _ in orders]
+    elif all(m % 2 == 0 for m in orders) and rng.random() < 0.4:
         images = []
-        for m in group.cyclic_orders:
-            signs = [rng.choice((1, -1)) if m % 2 == 0 else 1 for _ in range(n)]
+        for _ in orders:
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            if -1 not in signs:
+                signs[rng.randrange(n)] = -1
             images.append(matrix([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]))
     else:
-        d, seeds = rng.choice([(d, seeds) for (d, size), seeds in ORDER_SEEDS.items() if size == n])
-        seed = matrix(rng.choice(seeds))
-        powers = [identity(n)]
-        for _ in range(d - 1):
-            powers.append(mat_mul(powers[-1], seed))
-        images = [
-            powers[rng.choice([j for j in range(1, d) if j * m % d == 0] or [0])]
-            for m in group.cyclic_orders
-        ]
+        sizes = sorted({d for d, size in ORDER_SEEDS if size == n})
+        fits = [d for d in sizes if all(math.gcd(d, m) > 1 for m in orders)]
+        fits = fits or [d for d in sizes if any(math.gcd(d, m) > 1 for m in orders)]
+        if not fits:
+            images = [identity(n) for _ in orders]
+        else:
+            d = rng.choice(fits)
+            seed = matrix(rng.choice(ORDER_SEEDS[(d, n)]))
+            powers = [identity(n)]
+            for _ in range(d - 1):
+                powers.append(mat_mul(powers[-1], seed))
+            images = [
+                powers[rng.choice([j for j in range(1, d) if j * m % d == 0] or [0])]
+                for m in orders
+            ]
     p = random_invertible(rng, n)
     p_inv = inverse(p)
     images = [mat_mul(mat_mul(p, a), p_inv) for a in images]

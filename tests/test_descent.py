@@ -188,6 +188,23 @@ SHAPES = [(2,), (3,), (4,), (6,), (2, 2), (2, 3), (4, 2), (2, 2, 2)]
 SCALARS = [Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-3, 2)]
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_random_data_move_every_factor(shape):
+    # mu = I passes every check, so the generator must give most draws a
+    # nontrivial image on each cyclic factor (possible over Q from size 2 on)
+    rng = random.Random(sum(shape))
+    for n in (2, 3):
+        moved = 0
+        for _ in range(40):
+            datum = random_descent_datum(rng, shape, n)
+            group = datum.group
+            moved += all(
+                datum.mu[group.generator(i)] != linalg.identity(n)
+                for i in range(len(shape))
+            )
+        assert moved >= 24
+
+
 @st.composite
 def compatible_data(draw):
     shape = draw(st.sampled_from(SHAPES))
