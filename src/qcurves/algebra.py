@@ -146,9 +146,10 @@ class AlgebraElement:
 class AlgebraHom:
     """Q-algebra surjection b_g -> a(g) from a twisted group algebra onto a field.
 
-    Built by hom_from_splitting, which checks that a splits the algebra's
-    cocycle.  That check is exactly multiplicativity: a(g) a(h) = c(g, h) a(gh)
-    for every pair is the identity delta(a) = c.
+    The constructor trusts that a splits the algebra's cocycle, as for the
+    splitting split_cocycle has verified; hom_from_splitting checks a cochain
+    from outside.  That check is exactly multiplicativity: a(g) a(h) =
+    c(g, h) a(gh) for every pair is the identity delta(a) = c.
     """
 
     def __init__(self, algebra: TwistedGroupAlgebra, images: dict[Element, RadicalElement]):

@@ -15,7 +15,9 @@ cocycle itself.  The splitting is built first and its coboundary compared
 with the cocycle, which is O(|G|^2); a coboundary is always a cocycle, so
 only on a mismatch does the O(|G|^3) identity scan run, to tell an invalid
 table (its first failing triple) from an obstructed one (its nontrivial
-pairing).  A cocycle keeps the result of its first scan.
+pairing).  A cocycle keeps the result of its first scan and of its first
+splitting attempt.  Whether it splits over the rationals is a closed-form
+test on its canonical splitting, not a search over character twists.
 
 Both checks run on plain Python ints, not on radicals: the values are mapped
 once to their integer log coordinates (``radicals.log_coordinates``), where
@@ -122,7 +124,7 @@ class OneCochain:
 class TwoCocycle:
     """Total table (g, h) -> radical, normalized on construction by c(1,1)."""
 
-    __slots__ = ("group", "_values", "_violation")
+    __slots__ = ("group", "_values", "_violation", "_split")
 
     def __init__(self, group: FiniteAbelianGroup, values: dict[tuple[Element, Element], RadicalElement]):
         self.group = group
@@ -135,6 +137,7 @@ class TwoCocycle:
                 table[(g, h)] = v if scale.is_one else v / scale
         self._values = table
         self._violation = _UNSCANNED
+        self._split = _UNSCANNED
 
     @classmethod
     def constant_one(cls, group: FiniteAbelianGroup) -> "TwoCocycle":
@@ -267,8 +270,29 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
     it) is deterministic.  Coefficient divisibility makes the construction
     complete: verification can only fail when the pairing is nontrivial, or
     when c is not a cocycle at all, which raises InvalidCocycle naming the
-    first failing triple.
+    first failing triple.  The table is immutable, so a split or obstructed
+    result is kept on the cocycle and later calls read it.
     """
+    if c._split is _UNSCANNED:
+        c._split = _attempt_split(c)
+    return c._split
+
+
+def _attempt_split(c: TwoCocycle) -> SplitResult:
+    cochain = _canonical_cochain(c)
+    if cochain.splits(c):
+        return SplitResult(cochain, None)
+    violation = c.violation()
+    if violation is not None:
+        raise InvalidCocycle(f"cocycle identity fails at {violation}")
+    pairing = c.commutator_pairing()
+    if pairing.is_trivial:
+        raise InvalidCocycle("symmetric cocycle failed to split (internal error)")
+    return SplitResult(None, pairing)
+
+
+def _canonical_cochain(c: TwoCocycle) -> OneCochain:
+    """The canonical cochain of c, which splits c whenever c splits at all."""
     group = c.group
     orders = group.cyclic_orders
 
@@ -299,17 +323,7 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
             rest = tuple(0 if j <= i else g[j] for j in range(len(orders)))
             acc = factor_values[i][k] * acc / c(head, rest)
         values[g] = acc
-    cochain = OneCochain(group, values)
-
-    if cochain.splits(c):
-        return SplitResult(cochain, None)
-    violation = c.violation()
-    if violation is not None:
-        raise InvalidCocycle(f"cocycle identity fails at {violation}")
-    pairing = c.commutator_pairing()
-    if pairing.is_trivial:
-        raise InvalidCocycle("symmetric cocycle failed to split (internal error)")
-    return SplitResult(None, pairing)
+    return OneCochain(group, values)
 
 
 def character_twists(a: OneCochain) -> list[OneCochain]:
@@ -320,21 +334,30 @@ def character_twists(a: OneCochain) -> list[OneCochain]:
 def power_splits_over_rationals(c: TwoCocycle, k: int) -> bool:
     """Whether c^k is the coboundary of a cochain with purely rational values.
 
-    The exponent table of any splitting is unique (the exponent value group Q
-    is torsion free), so integrality of the canonical splitting's exponents
-    decides the prime-power side; the sign side is an exhaustive search over
-    the finitely many character twists, which adjust only torsion.
+    Let a be the canonical splitting of c^k, t = torsion(a), and e_i the
+    generator of the i-th cyclic factor, of order n_i.  Then c^k splits
+    rationally iff every exponent of a is an integer and n_i t(e_i) is an
+    integer for every even n_i.  The splittings are the twists a chi by
+    characters chi, which change torsion only: so they share the exponents
+    of a, and a chi is rational iff those are integers and 2t + 2chi = 0 in
+    Q/Z.  Here 2t is a homomorphism (c^k is rational, so a(g) a(h) / a(gh)
+    has torsion in {0, 1/2}), and chi is free on each generator, where
+    2 chi(e_i) reaches every value in (1/n_i)Z/Z for odd n_i but only those
+    in (2/n_i)Z/Z for even n_i.
     """
     if k < 1:
         raise ValueError("power must be a positive integer")
     if not c.is_rational_valued:
         raise ValueError("rational class order is defined for rational cocycles only")
-    d = c if k == 1 else c**k
-    result = split_cocycle(d)
+    result = split_cocycle(c if k == 1 else c**k)
     if not result.split:
         return False
     a = result.cochain
-    for v in a.values().values():
-        if any(r.denominator != 1 for r in v.exponents.values()):
-            return False
-    return any(t.is_rational_valued for t in character_twists(a))
+    if any(r.denominator != 1 for v in a.values().values() for r in v.exponents.values()):
+        return False
+    group = c.group
+    return all(
+        (n * a(group.generator(i)).torsion).denominator == 1
+        for i, n in enumerate(group.cyclic_orders)
+        if n % 2 == 0
+    )

@@ -32,10 +32,9 @@ mu(s + t) = mu(s) mu(t) by induction on t as a word in the generators.
 The equivariance computation compares, slot by slot, the two ways around the
 square formed by the comparison map from the plain product (the map sending
 the s-th copy to the s^{-1}-conjugate factor via the conjugated isogeny) and
-the two module structures.  For cocycle-twisted data the comparison is done
-on coefficients against canonical basis isogenies, using the twisted
-composition rule; for matrix data it is a literal matrix identity, and with
-an unscaled comparison map it is the compatibility identity itself.
+the two module structures.  Both ways around carry one common nonzero
+factor, a block of mu or a cocycle coefficient, so the comparison reduces
+to the slot scales of the comparison map (``iota_equivariance_violation``).
 """
 
 from __future__ import annotations
@@ -267,9 +266,6 @@ def eta_descent(datum: DescentDatum) -> DescentReport:
 # Equivariance of the comparison map
 # ---------------------------------------------------------------------------
 
-EQUIVARIANT = "equivariant"
-
-
 def product_action(datum: QCurveDatum) -> dict[Element, BlockMap]:
     """The twisted action on the plain product: slot s goes to slot g*s with
     coefficient c(g, s) against the identity isogeny."""
@@ -294,42 +290,27 @@ def iota_equivariance_violation(
     iota_scale optionally rescales the comparison map on individual slots
     (used to demonstrate that the identity is sharp); a uniform rescaling
     keeps equivariance, any single-slot change breaks it.
+
+    At (g, s), iota after the permutation action is scale[g + s] F, and the
+    [g] operator after iota is scale[s] F, for one nonzero F: the block
+    mu(g + s) = mu(g) mu(s) of a compatible descent datum, or the c(g, s)
+    the twisted composition rule contributes to both sides for a Q-curve
+    datum.  So the witness is the first (g, s), in lexicographic order, with
+    scale[g + s] != scale[s]; there is none iff the scale is uniform.
     """
     group = datum.group
     scale = {s: Fraction(1) for s in group.elements()}
     if iota_scale:
         for s, q in iota_scale.items():
             scale[group.check_element(s)] = Fraction(q)
-
     if isinstance(datum, DescentDatum):
         _require_compatible(datum)
-        if not iota_scale:
-            # transported(g, s) = mu(gs) and structural(g, s) = mu(g) mu(s):
-            # the compatibility identity just checked
-            return None
-
-        def transported(g, s):
-            # iota after the permutation action: slot s -> slot g*s -> factor (g*s)^-1
-            gs = group.add(g, s)
-            return linalg.mat_scale(datum.mu[gs], scale[gs])
-
-        def structural(g, s):
-            # the [g] operator after iota: factor s^-1 -> factor (g*s)^-1
-            return linalg.mat_scale(linalg.mat_mul(datum.mu[g], datum.mu[s]), scale[s])
-
-    else:
-        # coefficients against the canonical conjugated-isogeny basis; the
-        # twisted composition rule contributes c(g, s) on both sides
-        def transported(g, s):
-            gs = group.add(g, s)
-            return datum.cocycle.rational_value(g, s) * scale[gs]
-
-        def structural(g, s):
-            gs = group.add(g, s)
-            return datum.cocycle.rational_value(g, s) * scale[s]
-
+    elif not datum.cocycle.is_rational_valued:
+        raise ValueError("equivariance is defined for rational-valued cocycles only")
+    if len(set(scale.values())) == 1:
+        return None
     for g in group.elements():
         for s in group.elements():
-            if transported(g, s) != structural(g, s):
+            if scale[group.add(g, s)] != scale[s]:
                 return (g, s)
     return None

@@ -28,14 +28,16 @@ from .radicals import RadicalElement
 # ---------------------------------------------------------------------------
 
 
-def _class_support(d: int) -> frozenset[int]:
-    """Index support of a squarefree class: {-1} for the sign plus its primes."""
-    if d == 0:
+def _class_support(q: Fraction | int) -> frozenset[int]:
+    """Index support of the square class of a nonzero rational: {-1} for the
+    sign plus the primes of odd exponent, from one factorization of each of
+    its (coprime) numerator and denominator other than 1."""
+    if q == 0:
         raise ValueError("0 has no square class")
-    support = set()
-    if d < 0:
-        support.add(-1)
-    support.update(factor_positive(abs(d)))
+    support = {-1} if q < 0 else set()
+    for n in (abs(q.numerator), q.denominator):
+        if n > 1:
+            support.update(p for p, e in factor_positive(n).items() if e % 2)
     return frozenset(support)
 
 
@@ -51,11 +53,12 @@ def _index_key(x: int) -> int:
     return -1 if x == -1 else x
 
 
-def reduce_square_classes(classes: Iterable[int]) -> tuple[int, ...]:
-    """Canonical reduced basis (RREF over F_2) of the span of square classes."""
+def reduce_square_classes(classes: Iterable[Fraction | int]) -> tuple[int, ...]:
+    """Canonical reduced basis (RREF over F_2) of the span of the square
+    classes of nonzero rationals."""
     rows: list[set[int]] = []
-    for d in dict.fromkeys(classes):  # a repeated class adds nothing to the span
-        support = set(_class_support(squarefree_part(Fraction(d))))
+    for q in dict.fromkeys(classes):  # a repeated value adds nothing to the span
+        support = set(_class_support(q))
         for row in rows:
             if row and min(row, key=_index_key) in support:
                 support ^= row
@@ -97,7 +100,7 @@ class MultiquadraticField:
         return cls(())
 
     @classmethod
-    def from_square_classes(cls, classes: Iterable[int]) -> "MultiquadraticField":
+    def from_square_classes(cls, classes: Iterable[Fraction | int]) -> "MultiquadraticField":
         return cls(reduce_square_classes(classes))
 
     @property

@@ -97,8 +97,30 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{n}" for n in self.cyclic_orders)
 
 
+def first_failing_pair(table: dict, generators, op):
+    """The first pair (r, s) of keys of a table of roots of unity, in its
+    order, with table[op(r, s)] != table[r] table[s], or None.
+
+    Values are compared as integer torsion numerators k = t D over D, the lcm
+    of the torsion denominators, and table[identity] = 1 is checked first.
+    Then k(op(r, g)) = k(r) + k(g) mod D for every r and every g in a
+    generating set suffices: every s is a positive word g_1 ... g_m in the
+    generators (the group is finite), so by induction on m, k(op(r, s)) =
+    k(r) + k(g_1) + ... + k(g_m) = k(r) + k(s).  Only when that fails does
+    the scan over all pairs run, to name the first failing pair.
+    """
+    den = math.lcm(*(v.torsion.denominator for v in table.values()))
+    k = {g: v.torsion.numerator * (den // v.torsion.denominator) for g, v in table.items()}
+    if all(k[op(r, g)] == (k[r] + k[g]) % den for g in generators for r in k):
+        return None
+    return next((r, s) for r in k for s in k if k[op(r, s)] != (k[r] + k[s]) % den)
+
+
 class GroupCharacter:
-    """Multiplicative map from a finite abelian group to roots of unity."""
+    """Multiplicative map from a finite abelian group to roots of unity.
+
+    Multiplicativity is checked on the cyclic generators (first_failing_pair).
+    """
 
     __slots__ = ("group", "_values")
 
@@ -115,10 +137,10 @@ class GroupCharacter:
             table[g] = v
         if not table[group.identity].is_one:
             raise ValueError("character must send the identity to 1")
-        for g in group.elements():
-            for h in group.elements():
-                if table[group.add(g, h)] != table[g] * table[h]:
-                    raise ValueError(f"character table not multiplicative at ({g}, {h})")
+        generators = [group.generator(i) for i in range(len(group.cyclic_orders))]
+        pair = first_failing_pair(table, generators, group.add)
+        if pair is not None:
+            raise ValueError(f"character table not multiplicative at ({pair[0]}, {pair[1]})")
         self._values = table
 
     @classmethod

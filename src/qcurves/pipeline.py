@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, AlgebraHom, TwistedGroupAlgebra, hom_from_splitting, kernel_projector
+from .algebra import AlgebraElement, AlgebraHom, TwistedGroupAlgebra, kernel_projector
 from .cohomology import OneCochain, TwoCocycle, power_splits_over_rationals, split_cocycle
 from .errors import SplittingObstructed
-from .fields import MultiquadraticField, field_of_radicals
+from .fields import MultiquadraticField
 from .groups import Element, FiniteAbelianGroup, GroupCharacter
 from .radicals import RadicalElement
 
@@ -138,8 +138,9 @@ def construct_gl2_type(datum: QCurveDatum) -> GL2TypeDescriptor:
     if not result.split:
         raise SplittingObstructed(result.obstruction)
     alpha = result.cochain
-
-    field_e = field_of_radicals(alpha.values().values())
+    algebra = TwistedGroupAlgebra(datum.group, datum.cocycle)
+    # split_cocycle has verified that alpha splits the cocycle
+    omega = AlgebraHom(algebra, alpha.values())
 
     eps_values = {}
     for g in datum.group.elements():
@@ -148,16 +149,13 @@ def construct_gl2_type(datum: QCurveDatum) -> GL2TypeDescriptor:
             raise ValueError(f"character value at {g} is not a root of unity (internal error)")
         eps_values[g] = value
     epsilon = GroupCharacter(datum.group, eps_values)
-
-    algebra = TwistedGroupAlgebra(datum.group, datum.cocycle)
-    omega = hom_from_splitting(algebra, alpha)
     projector = kernel_projector(algebra, omega)
 
     return GL2TypeDescriptor(
-        field_e=field_e,
+        field_e=omega.field,
         epsilon=epsilon,
         alpha=alpha,
-        dimension=field_e.degree,
+        dimension=omega.field.degree,
         field_f=MultiquadraticField.rationals(),
         algebra=algebra,
         omega=omega,
@@ -238,9 +236,10 @@ ORDER_TWO = 2
 def brauer_order(datum: QCurveDatum) -> int:
     """Order (1 or 2) of the cocycle class against rational coboundaries.
 
-    Only order 1 needs a search.  The square of the cocycle always splits
-    rationally: the degree identity c^2 = delta(deg), checked by
-    datum.violation(), exhibits the rational splitting deg.
+    The square of the cocycle always splits rationally: the degree identity
+    c^2 = delta(deg), checked by datum.violation(), exhibits the rational
+    splitting deg.  Order 1 is the closed form of power_splits_over_rationals
+    on the cocycle's kept splitting, the one construct_gl2_type uses.
     """
     violation = datum.violation()
     if violation is not None:

@@ -26,10 +26,6 @@ class ParseError(ValueError):
     """Malformed input document."""
 
 
-def _fail(msg: str) -> "ParseError":
-    return ParseError(msg)
-
-
 def _is_int(x) -> bool:
     """A JSON integer: not a bool, which Python counts as an int, nor a float."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -39,7 +35,7 @@ def _prime(raw: dict) -> int:
     """The "p" field of a table entry."""
     p = raw["p"]
     if not _is_int(p):
-        raise _fail(f'"p" must be an integer, got {p!r}')
+        raise ParseError(f'"p" must be an integer, got {p!r}')
     return p
 
 
@@ -47,7 +43,7 @@ def _good(raw: dict) -> bool:
     """The "good" flag of a table entry: a JSON bool, true when absent."""
     good = raw.get("good", True)
     if not isinstance(good, bool):
-        raise _fail(f'"good" must be true or false, got {good!r}')
+        raise ParseError(f'"good" must be true or false, got {good!r}')
     return good
 
 
@@ -65,16 +61,16 @@ def radical_from_json(obj: Any) -> RadicalElement:
     if isinstance(obj, (int, str)):
         return RadicalElement.from_rational(parse_fraction(obj))
     if not isinstance(obj, dict):
-        raise _fail(f"expected a radical object, got {obj!r}")
+        raise ParseError(f"expected a radical object, got {obj!r}")
     raw_exponents = obj.get("exponents") or {}
     if not isinstance(raw_exponents, dict):
-        raise _fail(f'bad radical {obj!r}: "exponents" must be an object')
+        raise ParseError(f'bad radical {obj!r}: "exponents" must be an object')
     try:
         torsion = parse_fraction(obj.get("torsion", "0/1"))
         exponents = {int(p): parse_fraction(r) for p, r in raw_exponents.items()}
         return RadicalElement(torsion, exponents)
     except (ValueError, TypeError) as exc:
-        raise _fail(f"bad radical {obj!r}: {exc}") from None
+        raise ParseError(f"bad radical {obj!r}: {exc}") from None
 
 
 # -- groups and tables --------------------------------------------------------
@@ -82,12 +78,12 @@ def radical_from_json(obj: Any) -> RadicalElement:
 
 def element_from_json(obj: Any, group: FiniteAbelianGroup) -> Element:
     if not isinstance(obj, (list, tuple)):
-        raise _fail(f"expected a group element (list of ints), got {obj!r}")
+        raise ParseError(f"expected a group element (list of ints), got {obj!r}")
     if not {*map(type, obj)} <= {int}:  # JSON integers only: no floats, strings or bools
-        raise _fail(f"group element entries must be integers, got {obj!r}")
+        raise ParseError(f"group element entries must be integers, got {obj!r}")
     g = tuple(obj)
     if g not in group.element_set:
-        raise _fail(f"{g} is not an element of {group}")
+        raise ParseError(f"{g} is not an element of {group}")
     return g
 
 
@@ -97,11 +93,11 @@ def element_to_json(g: Element) -> list[int]:
 
 def group_from_json(obj: Any) -> FiniteAbelianGroup:
     if not isinstance(obj, list) or not all(_is_int(n) for n in obj):
-        raise _fail('"cyclic_orders" must be a list of integers')
+        raise ParseError('"cyclic_orders" must be a list of integers')
     try:
         return FiniteAbelianGroup(tuple(obj))
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
@@ -109,12 +105,12 @@ def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
     if isinstance(obj, dict):
         obj = obj.get("values", [])
     if not isinstance(obj, list):
-        raise _fail('"cocycle" must be a list of [g, h, value] triples')
+        raise ParseError('"cocycle" must be a list of [g, h, value] triples')
     table = {}
     rationals: dict = {}  # each distinct rational value is factored once per document
     for triple in obj:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise _fail(f"bad cocycle triple {triple!r}")
+            raise ParseError(f"bad cocycle triple {triple!r}")
         g = element_from_json(triple[0], group)
         h = element_from_json(triple[1], group)
         raw = triple[2]
@@ -138,17 +134,17 @@ def cocycle_to_json(c: TwoCocycle) -> list:
 
 def cochain_from_json(obj: Any, group: FiniteAbelianGroup) -> OneCochain:
     if not isinstance(obj, list):
-        raise _fail("cochain must be a list of [g, value] pairs")
+        raise ParseError("cochain must be a list of [g, value] pairs")
     table = {group.identity: RadicalElement.one()}
     for pair in obj:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise _fail(f"bad cochain pair {pair!r}")
+            raise ParseError(f"bad cochain pair {pair!r}")
         g = element_from_json(pair[0], group)
         table[g] = radical_from_json(pair[1])
     try:
         return OneCochain(group, table)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def cochain_to_json(a: OneCochain) -> list:
@@ -184,34 +180,34 @@ def field_to_json(f: MultiquadraticField) -> dict:
 
 def qcurve_datum_from_json(obj: Any) -> QCurveDatum:
     if not isinstance(obj, dict):
-        raise _fail("datum document must be an object")
+        raise ParseError("datum document must be an object")
     group = group_from_json(obj.get("cyclic_orders"))
     raw_degrees = obj.get("degrees")
     if not isinstance(raw_degrees, list):
-        raise _fail('"degrees" must be a list of [g, integer] pairs')
+        raise ParseError('"degrees" must be a list of [g, integer] pairs')
     degrees = {}
     for pair in raw_degrees:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise _fail(f"bad degree pair {pair!r}")
+            raise ParseError(f"bad degree pair {pair!r}")
         g = element_from_json(pair[0], group)
         if not isinstance(pair[1], int):
-            raise _fail(f"degree at {pair[0]} must be an integer")
+            raise ParseError(f"degree at {pair[0]} must be an integer")
         degrees[g] = pair[1]
     degrees.setdefault(group.identity, 1)
     cocycle = cocycle_from_json(obj.get("cocycle", []), group)
     try:
         return QCurveDatum(group, degrees, cocycle)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> FrobeniusAssignment:
     if not isinstance(obj, list):
-        raise _fail('"frobenius" must be a list of entry objects')
+        raise ParseError('"frobenius" must be a list of entry objects')
     entries = []
     for raw in obj:
         if not isinstance(raw, dict) or "p" not in raw or "class" not in raw:
-            raise _fail(f"bad Frobenius entry {raw!r}")
+            raise ParseError(f"bad Frobenius entry {raw!r}")
         a_p = raw.get("a_p")
         entries.append(
             FrobeniusEntry(
@@ -230,38 +226,38 @@ def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> Frobe
 def matrix_from_json(obj: Any, n: int) -> list[list[Fraction]]:
     """Rows of Fractions; ``DescentDatum`` makes them its exact matrices."""
     if not isinstance(obj, list) or len(obj) != n:
-        raise _fail(f"expected an {n} x {n} matrix")
+        raise ParseError(f"expected an {n} x {n} matrix")
     rows = []
     for row in obj:
         if not isinstance(row, list) or len(row) != n:
-            raise _fail(f"expected an {n} x {n} matrix")
+            raise ParseError(f"expected an {n} x {n} matrix")
         try:
             rows.append([parse_fraction(x) for x in row])
         except ValueError as exc:
-            raise _fail(str(exc)) from None
+            raise ParseError(str(exc)) from None
     return rows
 
 
 def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
     if not isinstance(obj, dict):
-        raise _fail("descent document must be an object")
+        raise ParseError("descent document must be an object")
     group = group_from_json(obj.get("cyclic_orders"))
     block_rank = obj.get("block_rank")
     if not _is_int(block_rank) or block_rank < 1:
-        raise _fail('"block_rank" must be a positive integer')
+        raise ParseError('"block_rank" must be a positive integer')
     raw_mu = obj.get("mu")
     if not isinstance(raw_mu, list):
-        raise _fail('"mu" must be a list of [g, matrix] pairs')
+        raise ParseError('"mu" must be a list of [g, matrix] pairs')
     mu = {}
     for pair in raw_mu:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise _fail(f"bad mu pair {pair!r}")
+            raise ParseError(f"bad mu pair {pair!r}")
         g = element_from_json(pair[0], group)
         mu[g] = matrix_from_json(pair[1], block_rank)
     try:
         return descent.DescentDatum(group, block_rank, mu)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 # -- trace documents ----------------------------------------------------------
@@ -273,7 +269,7 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
     if isinstance(obj, dict) and "torsion" in obj:
         return QuadraticElement.from_radical(radical_from_json(obj))
     if not isinstance(obj, dict) or "a" not in obj:
-        raise _fail(f"bad field element {obj!r}")
+        raise ParseError(f"bad field element {obj!r}")
     try:
         return QuadraticElement(
             parse_fraction(obj["a"]),
@@ -281,7 +277,7 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
             int(obj.get("d", 1)),
         )
     except (ValueError, TypeError) as exc:
-        raise _fail(f"bad field element {obj!r}: {exc}") from None
+        raise ParseError(f"bad field element {obj!r}: {exc}") from None
 
 
 def quadratic_to_json(x: QuadraticElement) -> dict:
@@ -294,13 +290,13 @@ def quadratic_to_json(x: QuadraticElement) -> dict:
 
 def character_from_json(obj: Any) -> DirichletCharacterData:
     if not isinstance(obj, dict) or "modulus" not in obj:
-        raise _fail('"epsilon" must be an object with "modulus" and "values"')
+        raise ParseError('"epsilon" must be an object with "modulus" and "values"')
     modulus = obj["modulus"]
     if not _is_int(modulus) or modulus < 1:
-        raise _fail('"modulus" must be a positive integer')
+        raise ParseError('"modulus" must be a positive integer')
     raw_values = obj.get("values") or {}
     if not isinstance(raw_values, dict):
-        raise _fail('"values" must be an object keyed by residue')
+        raise ParseError('"values" must be an object keyed by residue')
     values = {
         int(r): RadicalElement.root_of_unity(parse_fraction(t)) for r, t in raw_values.items()
     }
@@ -314,7 +310,7 @@ def character_from_json(obj: Any) -> DirichletCharacterData:
             None if at_m1 is None else RadicalElement.root_of_unity(parse_fraction(at_m1)),
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def character_to_json(eps: DirichletCharacterData) -> dict:
@@ -327,22 +323,22 @@ def character_to_json(eps: DirichletCharacterData) -> dict:
 
 def trace_table_from_json(obj: Any) -> TraceTable:
     if not isinstance(obj, dict):
-        raise _fail("trace-table document must be an object")
+        raise ParseError("trace-table document must be an object")
     raw_gens = obj.get("E_generators", [])
     if not isinstance(raw_gens, list) or not all(_is_int(d) for d in raw_gens):
-        raise _fail('"E_generators" must be a list of squarefree integers')
+        raise ParseError('"E_generators" must be a list of squarefree integers')
     try:
         field_e = MultiquadraticField.from_square_classes(raw_gens)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None
     epsilon = character_from_json(obj.get("epsilon", {"modulus": 1, "values": {}}))
     raw_entries = obj.get("entries")
     if not isinstance(raw_entries, list):
-        raise _fail('"entries" must be a list')
+        raise ParseError('"entries" must be a list')
     entries = []
     for raw in raw_entries:
         if not isinstance(raw, dict) or "p" not in raw or "a_p" not in raw:
-            raise _fail(f"bad trace entry {raw!r}")
+            raise ParseError(f"bad trace entry {raw!r}")
         entries.append(
             TraceEntry(
                 p=_prime(raw),
@@ -352,8 +348,8 @@ def trace_table_from_json(obj: Any) -> TraceTable:
         )
     bad = obj.get("bad_primes", [])
     if not isinstance(bad, list) or not all(_is_int(p) for p in bad):
-        raise _fail('"bad_primes" must be a list of integers')
+        raise ParseError('"bad_primes" must be a list of integers')
     try:
         return TraceTable(field_e, epsilon, entries, set(bad))
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ParseError(str(exc)) from None

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_prime, squarefree_part
+from .arith import is_prime
 from .errors import NotTotallyReal, ValueOutsideField
 from .fields import (
     MultiquadraticField,
@@ -36,6 +36,7 @@ from .fields import (
     quadratic_classes_in_cyclotomic,
     root_of_unity_as_quadratic,
 )
+from .groups import first_failing_pair
 from .radicals import RadicalElement
 
 
@@ -59,36 +60,13 @@ def _greedy_generators(modulus: int, units: list[int]) -> list[int]:
     return generators
 
 
-def _multiplicative_on_generators(modulus: int, den: int, units: list[int], k: dict) -> bool:
-    """k(r g) = k(r) + k(g) mod den for every unit r and greedy generator g."""
-    for g in _greedy_generators(modulus, units):
-        kg = k[g]
-        if any(k[r * g % modulus] != (k[r] + kg) % den for r in units):
-            return False
-    return True
-
-
-def _first_failing_pair(modulus: int, den: int, units: list[int], k: dict) -> tuple[int, int]:
-    """The first pair (r, s) of units, in lexicographic order, with
-    k(rs) != k(r) + k(s) mod den."""
-    return next(
-        (r, s) for r in units for s in units if k[r * s % modulus] != (k[r] + k[s]) % den
-    )
-
-
 class DirichletCharacterData:
     """Explicit character table modulo N: residue -> root of unity.
 
-    Multiplicativity is checked on generators, in integers.  Each value e(t)
-    is mapped to its torsion numerator k = t D over D, the lcm of the torsion
-    denominators, so chi(r) chi(s) = chi(rs) reads k(r) + k(s) = k(rs) mod D.
-    With chi(1) = 1 checked first, it suffices to check chi(r g) = chi(r)
-    chi(g) for every unit r and every g in a generating set S of (Z/N)^*:
-    every unit is a positive word g_1 ... g_k in S (the group is finite), so
-    by induction on k, chi(r s) = chi(r) chi(g_1) ... chi(g_k) = chi(r) chi(s).
-    That is O(phi(N) |S|) additions instead of O(phi(N)^2) radical products.
-    Only when it fails does the full lexicographic scan over pairs (r, s) run,
-    on the same integers, to name the first failing pair.
+    Multiplicativity is checked in integer torsion coordinates on greedy
+    generators of (Z/N)^* (``groups.first_failing_pair``): O(phi(N) |S|)
+    additions for |S| generators instead of O(phi(N)^2) radical products.
+    Only a failing table pays for the pair scan that names its first pair.
     """
 
     def __init__(
@@ -114,15 +92,11 @@ class DirichletCharacterData:
         if not table[one].is_one:
             raise ValueError("character must take the value 1 at the class of 1")
         self.order = math.lcm(*(v.torsion.denominator for v in table.values()))
-        # torsion numerators over the common denominator D = self.order
-        k = {
-            r: v.torsion.numerator * (self.order // v.torsion.denominator)
-            for r, v in table.items()
-        }
-        units = list(table)
-        if not _multiplicative_on_generators(self.modulus, self.order, units, k):
-            r, s = _first_failing_pair(self.modulus, self.order, units, k)
-            raise ValueError(f"character not multiplicative at ({r}, {s})")
+        modulus = self.modulus
+        generators = _greedy_generators(modulus, list(table))
+        pair = first_failing_pair(table, generators, lambda r, s: r * s % modulus)
+        if pair is not None:
+            raise ValueError(f"character not multiplicative at ({pair[0]}, {pair[1]})")
         self.values = table
         self._quadratic: dict[int, QuadraticElement] = {}
         expected_m1 = table[(-1) % self.modulus]
@@ -260,8 +234,7 @@ def generated_field_f(table: TraceTable) -> InnerFieldReport:
     # the class of the quadratic field the corresponding trace generates, and
     # the roots of unity contribute the quadratic subfields of the cyclotomic.
     adjoined = list(field_f.basis)
-    rationals = dict.fromkeys(t.rational_value() for t in t_values if t.is_rational)
-    adjoined.extend(squarefree_part(value) for value in rationals)  # each distinct t_p once
+    adjoined.extend(t.rational_value() for t in t_values if t.is_rational)
     adjoined.extend(t.generated_class() for t in t_values if not t.is_rational)
     adjoined.extend(quadratic_classes_in_cyclotomic(2 * table.epsilon.order))
     span = MultiquadraticField.from_square_classes(adjoined)

@@ -18,7 +18,15 @@ from qcurves import (
     TwistedGroupAlgebra,
     TwoCocycle,
 )
-from qcurves.descent import BlockMap, DescentDatum, DescentReport, build_restriction
+from qcurves.cohomology import character_twists, split_cocycle
+from qcurves.descent import (
+    BlockMap,
+    DescentDatum,
+    DescentReport,
+    build_restriction,
+    compatibility_violation,
+)
+from qcurves.errors import CompatibilityRequired
 from qcurves.linalg import (
     Matrix,
     Vector,
@@ -114,8 +122,50 @@ def radical_scan(c: TwoCocycle):
 
 
 # ---------------------------------------------------------------------------
-# Character oracle: the full pair scan by radical arithmetic
+# Rational-twist oracle: the search over every character twist
 # ---------------------------------------------------------------------------
+
+
+def power_splits_by_twists(c: TwoCocycle, k: int) -> bool:
+    """Whether c^k splits rationally, by search: the exponents of the
+    canonical splitting must be integers (twists adjust only torsion), and
+    then one of its |G| character twists must be rational-valued."""
+    if k < 1:
+        raise ValueError("power must be a positive integer")
+    if not c.is_rational_valued:
+        raise ValueError("rational class order is defined for rational cocycles only")
+    result = split_cocycle(c if k == 1 else c**k)
+    if not result.split:
+        return False
+    a = result.cochain
+    for v in a.values().values():
+        if any(r.denominator != 1 for r in v.exponents.values()):
+            return False
+    return any(t.is_rational_valued for t in character_twists(a))
+
+
+# ---------------------------------------------------------------------------
+# Character oracles: the full pair scan by radical arithmetic
+# ---------------------------------------------------------------------------
+
+
+def group_character_oracle(group: FiniteAbelianGroup, values: dict):
+    """The ValueError message GroupCharacter raises on this table, or None
+    when it accepts it, from the O(|G|^2) scan over every pair of elements
+    with radical products."""
+    for g in group.elements():
+        v = values.get(g)
+        if v is None:
+            return f"character table missing value at {g}"
+        if not v.is_root_of_unity:
+            return f"character value {v!r} at {g} is not a root of unity"
+    if not values[group.identity].is_one:
+        return "character must send the identity to 1"
+    for g in group.elements():
+        for h in group.elements():
+            if values[group.add(g, h)] != values[g] * values[h]:
+                return f"character table not multiplicative at ({g}, {h})"
+    return None
 
 
 def character_check_oracle(modulus: int, values: dict, value_at_minus_one=None):
@@ -370,6 +420,46 @@ def eta_oracle(datum: DescentDatum) -> DescentReport:
         fixed_by_all=fixed,
         diagonal_image_ok=diagonal_ok,
     )
+
+
+def iota_by_closures(datum, iota_scale=None):
+    """iota_equivariance_violation by comparing both ways around the square
+    at every (g, s): scaled blocks of mu for a compatible descent datum, and
+    cocycle coefficients against the canonical basis for a Q-curve datum."""
+    group = datum.group
+    scale = {s: Fraction(1) for s in group.elements()}
+    if iota_scale:
+        for s, q in iota_scale.items():
+            scale[group.check_element(s)] = Fraction(q)
+
+    if isinstance(datum, DescentDatum):
+        violation = compatibility_violation(datum)
+        if violation is not None:
+            raise CompatibilityRequired(f"compatibility fails at {violation}")
+
+        def transported(g, s):
+            # iota after the permutation action: slot s -> slot g*s -> factor (g*s)^-1
+            gs = group.add(g, s)
+            return mat_scale(datum.mu[gs], scale[gs])
+
+        def structural(g, s):
+            # the [g] operator after iota: factor s^-1 -> factor (g*s)^-1
+            return mat_scale(mat_mul(datum.mu[g], datum.mu[s]), scale[s])
+
+    else:
+
+        def transported(g, s):
+            gs = group.add(g, s)
+            return datum.cocycle.rational_value(g, s) * scale[gs]
+
+        def structural(g, s):
+            return datum.cocycle.rational_value(g, s) * scale[s]
+
+    for g in group.elements():
+        for s in group.elements():
+            if transported(g, s) != structural(g, s):
+                return (g, s)
+    return None
 
 
 # ---------------------------------------------------------------------------

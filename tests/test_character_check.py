@@ -140,10 +140,21 @@ def test_greedy_generators_span_the_unit_group(modulus):
 
 @pytest.mark.parametrize("modulus", [1, 2, 4, 8, 9, 25, 27, 49, 105, 240, 780])
 def test_valid_characters_never_run_the_pair_scan(modulus, monkeypatch):
-    def pair_scan(*args):
-        raise AssertionError("the pair scan ran on a multiplicative table")
+    check = traces.first_failing_pair
 
-    monkeypatch.setattr(traces, "_first_failing_pair", pair_scan)
+    def generators_only(table, generators, op):
+        # the generator check applies op once per (unit, generator); the pair
+        # scan would apply it again, at least once
+        calls = []
+
+        def counting(r, s):
+            calls.append((r, s))
+            return op(r, s)
+
+        assert check(table, generators, counting) is None
+        assert len(calls) == len(table) * len(generators)
+
+    monkeypatch.setattr(traces, "first_failing_pair", generators_only)
     for indices in (
         [[0] * len(gens) for _, gens in unit_group_basis(modulus)],
         [[1] * len(gens) for _, gens in unit_group_basis(modulus)],

@@ -1,19 +1,20 @@
 """The datum, the splitting and descent compatibility are each checked once.
 
-A ``QCurveDatum`` keeps the result of its first ``violation()`` call, and a
-``DescentDatum`` keeps its first compatibility scan, so the guards of every
-downstream entry point reuse them.  Invalid input is still rejected with the
+A ``QCurveDatum`` keeps the result of its first ``violation()`` call, a
+``TwoCocycle`` its first splitting attempt, and a ``DescentDatum`` its first
+compatibility scan, so the guards of every downstream entry point reuse them.  Invalid input is still rejected with the
 same exception types and messages.  A compatible descent checks the identity
 on generators only and runs no block algebra.
 """
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from qcurves import linalg, serialize
+from qcurves import cohomology, fields, groups, linalg, serialize
 from qcurves.algebra import AlgebraHom, TwistedGroupAlgebra, hom_from_splitting
 from qcurves.cli import main
 from qcurves.cohomology import OneCochain
@@ -46,6 +47,23 @@ def counting(monkeypatch, cls, name):
     return counter
 
 
+def counting_function(monkeypatch, original):
+    """Count calls of a module-level function through every binding of it in
+    the package."""
+    counter = {"n": 0}
+
+    def wrapper(*args):
+        counter["n"] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qcurves" or name.startswith("qcurves."):
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, wrapper)
+    return counter
+
+
 def golden_doc(case):
     return json.loads((GOLDEN / f"{case}.json").read_text())
 
@@ -56,6 +74,19 @@ def test_construct_cli_checks_the_datum_once(case, monkeypatch, capsys):
     assert main(["construct", str(GOLDEN / f"{case}.json")]) == 0
     capsys.readouterr()
     assert checks["n"] == 1
+
+
+@pytest.mark.parametrize("case", ["construct_z4", "construct_z2_cubed", "construct_z4_z2"])
+def test_construct_cli_builds_each_value_once(case, monkeypatch, capsys):
+    builds = counting_function(monkeypatch, cohomology._canonical_cochain)
+    splits = counting(monkeypatch, OneCochain, "splits")
+    fields_e = counting_function(monkeypatch, fields.field_of_radicals)
+    characters = counting(monkeypatch, groups.GroupCharacter, "__init__")
+    duals = counting_function(monkeypatch, groups.all_characters)
+    assert main(["construct", str(GOLDEN / f"{case}.json")]) == 0
+    capsys.readouterr()
+    assert (builds["n"], splits["n"], fields_e["n"], characters["n"]) == (1, 1, 1, 1)
+    assert duals["n"] == 0
 
 
 def test_hom_from_splitting_is_the_one_splitting_check(monkeypatch):
