@@ -92,9 +92,8 @@ class DirichletCharacterData:
         if not table[one].is_one:
             raise ValueError("character must take the value 1 at the class of 1")
         self.order = math.lcm(*(v.torsion.denominator for v in table.values()))
-        modulus = self.modulus
-        generators = _greedy_generators(modulus, list(table))
-        pair = first_failing_pair(table, generators, lambda r, s: r * s % modulus)
+        generators = _greedy_generators(self.modulus, list(table))
+        pair = first_failing_pair(table, generators, lambda r, s: r * s % self.modulus)
         if pair is not None:
             raise ValueError(f"character not multiplicative at ({pair[0]}, {pair[1]})")
         self.values = table
