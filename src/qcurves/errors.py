@@ -43,3 +43,8 @@ class ValueOutsideField(QCurvesError):
 
 class NotTotallyReal(QCurvesError):
     """The inner field computed from a trace table is not totally real."""
+
+
+class InputLimit(ValueError):
+    """An input lies past a documented size or effort bound; the message names
+    the bound.  A ValueError, so the command line exits 2 on it."""

@@ -153,10 +153,14 @@ class TraceTable:
         primes = [e.p for e in entries]
         if len(set(primes)) != len(primes):
             raise ValueError("entry primes must be distinct")
+        inside = {1: True}  # square class -> in E, decided once per class
         for e in entries:
             if not is_prime(e.p):
                 raise ValueError(f"{e.p} is not prime")
-            if e.a_p.generated_class() != 1 and not field_e.contains_class(e.a_p.generated_class()):
+            d = e.a_p.generated_class()
+            if d not in inside:
+                inside[d] = field_e.contains_class(d)
+            if not inside[d]:
                 raise ValueOutsideField(f"a_{e.p} = {e.a_p} does not lie in {field_e}")
             if e.good and epsilon(e.p) is None:
                 raise ValueError(f"character vanishes at the good prime {e.p}")

@@ -28,6 +28,10 @@ EXIT_CODES = {
     "construct_z4": 0,
     "construct_z2_cubed": 0,
     "construct_z4_z2": 0,
+    # ladder data on the |G| = 16 groups; on Z/16 the cocycle values are
+    # 9973^8, about 10^32, which factor above the exact primality bound
+    "construct_z16_ladder": 0,
+    "construct_z4_z4_ladder": 0,
     "construct_obstructed": 1,
     "construct_invalid_cocycle": 1,
     "algebra_imaginary": 0,

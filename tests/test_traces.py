@@ -153,6 +153,25 @@ def test_value_outside_declared_field_rejected():
         TraceTable(Q_SQRT2, DirichletCharacterData.trivial(), entries)
 
 
+def test_field_membership_decided_once_per_class(monkeypatch):
+    calls = []
+    contains = MultiquadraticField.contains_class
+    monkeypatch.setattr(
+        MultiquadraticField, "contains_class", lambda f, d: calls.append(d) or contains(f, d)
+    )
+    sqrt2 = QuadraticElement(Fraction(1), Fraction(1), 2)
+    sqrt3 = QuadraticElement(Fraction(0), Fraction(2), 3)
+    a_ps = [sqrt2, rational(1), sqrt2, sqrt2, sqrt3, sqrt2, sqrt3]
+    entries = [TraceEntry(p, a) for p, a in zip(PRIMES, a_ps)]
+    TraceTable(Q_SQRT2, DirichletCharacterData.trivial(), entries[:4])
+    assert calls == [2]
+    # the first entry outside the field is still the one named
+    calls.clear()
+    with pytest.raises(ValueOutsideField, match=r"^a_13 = "):
+        TraceTable(Q_SQRT2, DirichletCharacterData.trivial(), entries)
+    assert calls == [2, 3]
+
+
 def test_bad_entries_excluded_and_collected():
     entries = [
         TraceEntry(3, rational(1)),
