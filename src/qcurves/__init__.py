@@ -27,7 +27,6 @@ from .cohomology import (
     OneCochain,
     SplitResult,
     TwoCocycle,
-    character_twists,
     power_splits_over_rationals,
     split_cocycle,
 )
@@ -40,7 +39,6 @@ from .descent import (
     compatibility_violation,
     eta_descent,
     iota_equivariance_violation,
-    product_action,
 )
 from .errors import (
     CompatibilityRequired,
@@ -57,11 +55,10 @@ from .errors import (
 from .fields import (
     MultiquadraticField,
     QuadraticElement,
-    classify_signature,
     field_of_radicals,
     root_of_unity_as_quadratic,
 )
-from .groups import FiniteAbelianGroup, GroupCharacter, all_characters
+from .groups import FiniteAbelianGroup, GroupCharacter
 from .pipeline import (
     FrobeniusAssignment,
     FrobeniusEntry,

@@ -54,9 +54,6 @@ class TwistedGroupAlgebra:
     def element(self, coefficients: dict[Element, Fraction]) -> "AlgebraElement":
         return AlgebraElement(self, coefficients)
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
     def one(self) -> "AlgebraElement":
         return self.basis(self.group.identity)
 
@@ -129,9 +126,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, g: Element) -> Fraction:
-        return self.coefficients.get(g, Fraction(0))
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -158,20 +152,6 @@ class AlgebraHom:
         self.field = field_of_radicals(images.values())
         # coordinates of each image in the square-class basis of the field
         self.coordinates = {g: v.as_sqrt_multiple() for g, v in images.items()}
-
-    def image(self, g: Element) -> RadicalElement:
-        return self.images[g]
-
-    def evaluate_coordinates(self, x: AlgebraElement) -> dict[int, Fraction]:
-        """Image of x as {square class d: rational coefficient of sqrt(d)}."""
-        coords: dict[int, Fraction] = {}
-        for g, coeff in x.coefficients.items():
-            q, d = self.coordinates[g]
-            coords[d] = coords.get(d, Fraction(0)) + coeff * q
-        return {d: q for d, q in coords.items() if q}
-
-    def maps_to_one(self, x: AlgebraElement) -> bool:
-        return self.evaluate_coordinates(x) == {1: Fraction(1)}
 
     def __repr__(self):
         return f"AlgebraHom({self.algebra} -> {self.field})"

@@ -1,4 +1,4 @@
-"""Small exact-arithmetic utilities: fraction strings, factorization, square classes.
+"""Small exact-arithmetic utilities: fraction strings, input sizes, factorization, square classes.
 
 Rational scalars throughout the package are ``fractions.Fraction`` (always
 reduced, positive denominator).  Square classes of nonzero rationals are
@@ -31,6 +31,12 @@ Composites above the bound still factor: a Miller-Rabin witness proves
 compositeness exactly at every size, and the perfect-power check and rho
 split a composite into parts that are decided in turn.  Only a prime factor
 at or above the bound, or a split past the rho budget, is a hard input.
+
+The cost of finding that out still grows with n (each rho step and each
+Miller-Rabin base is a multiplication modulo n), so the numbers a document
+gives are bounded where they are parsed, before any factoring:
+``check_size`` and ``parse_fraction`` raise ``InputLimit`` on an integer,
+numerator or denominator of more than ``INPUT_BITS`` = 512 bits.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import InputLimit
 
 EXACT_PRIMALITY_BOUND = 3317044064679887385961981
 RHO_BUDGET = 1 << 20
+INPUT_BITS = 512
 
 _SIEVE_LIMIT = 1 << 16
 
@@ -78,13 +85,31 @@ _MR_BASES = [
 ]
 
 
+def check_size(n: int) -> int:
+    """n itself, when |n| has at most INPUT_BITS bits; InputLimit otherwise."""
+    bits = n.bit_length()
+    if bits > INPUT_BITS:
+        raise InputLimit(f"a {bits}-bit integer is past the input limit of {INPUT_BITS} bits")
+    return n
+
+
 def parse_fraction(s: str | int) -> Fraction:
-    """Parse "a/b" (or a bare integer) into a Fraction."""
+    """Parse "a/b" (or a bare integer) into a Fraction whose numerator and
+    denominator have at most INPUT_BITS bits; InputLimit otherwise."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError(f"expected a fraction string or integer, got {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s.strip())
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        # Fraction expands a decimal exponent e as 10^e: "1e10000000" alone
+        # takes seconds, so an exponent past the bound is refused unexpanded
+        exponent = s.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if exponent.isdecimal() and int(exponent) > INPUT_BITS:
+            raise InputLimit(
+                f"a decimal exponent of {exponent} is past the input limit of {INPUT_BITS} bits"
+            )
+    q = Fraction(s)
+    check_size(q.numerator)
+    check_size(q.denominator)
+    return q
 
 
 def format_fraction(q: Fraction) -> str:
@@ -232,19 +257,23 @@ def factor_positive(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def squarefree_part(q: Fraction | int) -> int:
-    """The squarefree integer d with q = d * (rational square), sign included."""
-    q = Fraction(q)
+def square_class(q: Fraction | int) -> frozenset[int]:
+    """The square class of a nonzero rational as its index support: -1 for a
+    negative sign and the primes of odd exponent, from one factorization of
+    each of its (coprime) numerator and denominator other than 1."""
     if q == 0:
         raise ValueError("0 has no square class")
-    d = 1 if q > 0 else -1
-    for p, e in factor_positive(abs(q.numerator)).items():
-        if e % 2:
-            d *= p
-    for p, e in factor_positive(q.denominator).items():
-        if e % 2:
-            d *= p
-    return d
+    support = {-1} if q < 0 else set()
+    for n in (abs(q.numerator), q.denominator):
+        if n > 1:
+            support.update(p for p, e in factor_positive(n).items() if e % 2)
+    return frozenset(support)
+
+
+def squarefree_part(q: Fraction | int) -> int:
+    """The squarefree integer d with q = d * (rational square), sign included:
+    the product of the square class's support."""
+    return math.prod(square_class(q))
 
 
 def is_rational_square(q: Fraction | int) -> bool:

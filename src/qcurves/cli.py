@@ -18,13 +18,12 @@ from typing import Any
 from . import descent as descent_mod
 from . import serialize
 from .algebra import (
-    EndAlgebraDescriptor,
     TwistedGroupAlgebra,
     classify_end_algebra,
     hom_from_splitting,
     kernel_projector,
 )
-from .arith import format_fraction
+from .arith import check_size, format_fraction
 from .cohomology import split_cocycle
 from .errors import NotTotallyReal, QCurvesError, SplittingObstructed
 from .pipeline import (
@@ -132,23 +131,11 @@ def cmd_algebra(args) -> int:
                 "field": serialize.field_to_json(hom.field),
                 "images": serialize.cochain_to_json(cochain),
                 "projector": serialize.algebra_element_to_json(projector),
-                "projector_idempotent": projector * projector == projector,
+                # kernel_projector raises NoProjector on a non-idempotent element
+                "projector_idempotent": True,
             }
     if "descriptor" in doc:
-        raw = doc["descriptor"]
-        if not isinstance(raw, dict):
-            raise ParseError('"descriptor" must be an object')
-        try:
-            descriptor = EndAlgebraDescriptor(
-                n=int(raw["n"]),
-                division_degree=int(raw["division_degree"]),
-                center_degree=int(raw["center_degree"]),
-                maximal_field_degree=int(raw["maximal_field_degree"]),
-                abelian_variety_dim=int(raw["abelian_variety_dim"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad descriptor: {exc}") from None
-        classification = classify_end_algebra(descriptor)
+        classification = classify_end_algebra(serialize.descriptor_from_json(doc["descriptor"]))
         report["classification"] = {
             "primitivity": classification.primitivity,
             "kind": classification.kind,
@@ -213,7 +200,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_quadratic(args) -> int:
-    data = QuadraticQCurveInput(m=args.m, k_signature=args.k_signature)
+    data = QuadraticQCurveInput(m=check_size(args.m), k_signature=args.k_signature)
     report_obj = classify_quadratic(data)
     report = {
         "m": report_obj.m,

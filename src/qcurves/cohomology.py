@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidCocycle
-from .groups import Element, FiniteAbelianGroup, GroupCharacter, all_characters
+from .groups import Element, FiniteAbelianGroup
 from .radicals import RadicalElement, log_coordinates
 
 _ONE = RadicalElement.one()
@@ -91,9 +91,6 @@ class OneCochain:
             for g in range(n)
             for h, gh in enumerate(add[g])
         )
-
-    def twist(self, chi: GroupCharacter) -> "OneCochain":
-        return OneCochain(self.group, {g: v * chi(g) for g, v in self._values.items()})
 
     def __mul__(self, other: "OneCochain") -> "OneCochain":
         if self.group != other.group:
@@ -233,22 +230,6 @@ class CommutatorPairing:
     def is_trivial(self) -> bool:
         return all(v.is_one for _, v in self.table)
 
-    @property
-    def is_alternating(self) -> bool:
-        return all(self(g, g).is_one for g in self.group.elements())
-
-    @property
-    def is_bimultiplicative(self) -> bool:
-        els = self.group.elements()
-        add = self.group.add
-        return all(
-            self(add(g1, g2), h) == self(g1, h) * self(g2, h)
-            and self(h, add(g1, g2)) == self(h, g1) * self(h, g2)
-            for g1 in els
-            for g2 in els
-            for h in els
-        )
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -326,30 +307,24 @@ def _canonical_cochain(c: TwoCocycle) -> OneCochain:
     return OneCochain(group, values)
 
 
-def character_twists(a: OneCochain) -> list[OneCochain]:
-    """All cochains with the same coboundary obtained by character twists."""
-    return [a.twist(chi) for chi in all_characters(a.group)]
+def power_splits_over_rationals(c: TwoCocycle) -> bool:
+    """Whether c is the coboundary of a cochain with purely rational values;
+    for a power c^k, pass ``c ** k``.
 
-
-def power_splits_over_rationals(c: TwoCocycle, k: int) -> bool:
-    """Whether c^k is the coboundary of a cochain with purely rational values.
-
-    Let a be the canonical splitting of c^k, t = torsion(a), and e_i the
-    generator of the i-th cyclic factor, of order n_i.  Then c^k splits
+    Let a be the canonical splitting of c, t = torsion(a), and e_i the
+    generator of the i-th cyclic factor, of order n_i.  Then c splits
     rationally iff every exponent of a is an integer and n_i t(e_i) is an
     integer for every even n_i.  The splittings are the twists a chi by
     characters chi, which change torsion only: so they share the exponents
     of a, and a chi is rational iff those are integers and 2t + 2chi = 0 in
-    Q/Z.  Here 2t is a homomorphism (c^k is rational, so a(g) a(h) / a(gh)
+    Q/Z.  Here 2t is a homomorphism (c is rational, so a(g) a(h) / a(gh)
     has torsion in {0, 1/2}), and chi is free on each generator, where
     2 chi(e_i) reaches every value in (1/n_i)Z/Z for odd n_i but only those
     in (2/n_i)Z/Z for even n_i.
     """
-    if k < 1:
-        raise ValueError("power must be a positive integer")
     if not c.is_rational_valued:
         raise ValueError("rational class order is defined for rational cocycles only")
-    result = split_cocycle(c if k == 1 else c**k)
+    result = split_cocycle(c)
     if not result.split:
         return False
     a = result.cochain

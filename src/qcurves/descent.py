@@ -266,20 +266,6 @@ def eta_descent(datum: DescentDatum) -> DescentReport:
 # Equivariance of the comparison map
 # ---------------------------------------------------------------------------
 
-def product_action(datum: QCurveDatum) -> dict[Element, BlockMap]:
-    """The twisted action on the plain product: slot s goes to slot g*s with
-    coefficient c(g, s) against the identity isogeny."""
-    product = FactorProduct.of_group(datum.group, 1)
-    action = {}
-    for g in datum.group.elements():
-        blocks = {}
-        for s in product.labels:
-            coeff = datum.cocycle.rational_value(g, s)
-            blocks[(datum.group.add(g, s), s)] = ((coeff,),)
-        action[g] = BlockMap(product, product, blocks)
-    return action
-
-
 def iota_equivariance_violation(
     datum: Union[QCurveDatum, DescentDatum],
     iota_scale: Optional[Mapping[Element, Fraction]] = None,

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .arith import factor_positive, squarefree_part
+from .arith import square_class, squarefree_part
 from .errors import ValueOutsideField
 from .radicals import RadicalElement
 
@@ -28,60 +28,25 @@ from .radicals import RadicalElement
 # ---------------------------------------------------------------------------
 
 
-def _class_support(q: Fraction | int) -> frozenset[int]:
-    """Index support of the square class of a nonzero rational: {-1} for the
-    sign plus the primes of odd exponent, from one factorization of each of
-    its (coprime) numerator and denominator other than 1."""
-    if q == 0:
-        raise ValueError("0 has no square class")
-    support = {-1} if q < 0 else set()
-    for n in (abs(q.numerator), q.denominator):
-        if n > 1:
-            support.update(p for p, e in factor_positive(n).items() if e % 2)
-    return frozenset(support)
-
-
-def _support_to_class(support: Iterable[int]) -> int:
-    d = 1
-    for x in support:
-        d *= x
-    return d
-
-
-def _index_key(x: int) -> int:
-    # -1 sorts before every prime
-    return -1 if x == -1 else x
-
-
 def reduce_square_classes(classes: Iterable[Fraction | int]) -> tuple[int, ...]:
     """Canonical reduced basis (RREF over F_2) of the span of the square
     classes of nonzero rationals."""
     rows: list[set[int]] = []
     for q in dict.fromkeys(classes):  # a repeated value adds nothing to the span
-        support = set(_class_support(q))
+        support = set(square_class(q))
         for row in rows:
-            if row and min(row, key=_index_key) in support:
+            if min(row) in support:
                 support ^= row
         if support:
             rows.append(support)
-    # back-substitute to reach reduced echelon form
-    rows.sort(key=lambda r: _index_key(min(r, key=_index_key)))
+    # back-substitute to reach reduced echelon form (-1 is the least index)
+    rows.sort(key=min)
     for i in range(len(rows) - 1, -1, -1):
-        pivot = min(rows[i], key=_index_key)
+        pivot = min(rows[i])
         for j in range(i):
             if pivot in rows[j]:
                 rows[j] ^= rows[i]
-    return tuple(_support_to_class(row) for row in rows)
-
-
-def class_in_span(d: int, basis: Sequence[int]) -> bool:
-    """Whether the square class of d lies in the F_2-span of basis classes."""
-    support = set(_class_support(d))
-    for b in basis:
-        row = _class_support(b)
-        if row and min(row, key=_index_key) in support:
-            support ^= row
-    return not support
+    return tuple(math.prod(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +81,12 @@ class MultiquadraticField:
         return not self.basis
 
     def contains_class(self, d: int) -> bool:
-        return class_in_span(d, self.basis)
+        """Whether the square class of d lies in the span: adding it leaves
+        the reduced basis the same size."""
+        return len(reduce_square_classes((*self.basis, d))) == len(self.basis)
 
     def contains(self, other: "MultiquadraticField") -> bool:
         return all(self.contains_class(d) for d in other.basis)
-
-    def compositum(self, other: "MultiquadraticField") -> "MultiquadraticField":
-        return MultiquadraticField.from_square_classes(self.basis + other.basis)
 
     def __repr__(self):
         if not self.basis:
@@ -142,15 +106,6 @@ def field_of_radicals(generators: Iterable[RadicalElement]) -> MultiquadraticFie
         if d != 1:
             classes.append(d)
     return MultiquadraticField.from_square_classes(classes)
-
-
-TOTALLY_REAL = "totally_real"
-IMAGINARY = "imaginary"
-
-
-def classify_signature(field: MultiquadraticField) -> str:
-    """TOTALLY_REAL when every basis class is positive, IMAGINARY otherwise."""
-    return TOTALLY_REAL if field.totally_real else IMAGINARY
 
 
 def quadratic_classes_in_cyclotomic(n: int) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Finite abelian groups as products of cyclic groups, and their characters.
 
 Elements are exponent tuples with componentwise addition modulo the cyclic
-orders; the identity is the zero tuple.  Iteration order over elements and
-characters is the lexicographic product order, which every deterministic
-construction in the package relies on.
+orders; the identity is the zero tuple.  Iteration order over elements is
+the lexicographic product order, which every deterministic construction in
+the package relies on.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 
 from .radicals import RadicalElement
@@ -37,10 +36,6 @@ class FiniteAbelianGroup:
     @property
     def order(self) -> int:
         return math.prod(self.cyclic_orders)
-
-    @property
-    def exponent(self) -> int:
-        return reduce(math.lcm, self.cyclic_orders, 1)
 
     def elements(self) -> list[Element]:
         return [tuple(g) for g in itertools.product(*(range(n) for n in self.cyclic_orders))]
@@ -78,18 +73,9 @@ class FiniteAbelianGroup:
             table = [[s * n + t for s in row for t in col] for row in table for col in cyclic]
         return table
 
-    def neg(self, g: Element) -> Element:
-        return tuple((-a) % n for a, n in zip(g, self.cyclic_orders))
-
-    def power(self, g: Element, k: int) -> Element:
-        return tuple((a * k) % n for a, n in zip(g, self.cyclic_orders))
-
     def generator(self, i: int) -> Element:
         """The canonical generator of the i-th cyclic factor."""
         return tuple(1 if j == i else 0 for j in range(len(self.cyclic_orders)))
-
-    def element_order(self, g: Element) -> int:
-        return reduce(math.lcm, (n // math.gcd(a, n) for a, n in zip(g, self.cyclic_orders)), 1)
 
     def __repr__(self):
         if not self.cyclic_orders:
@@ -143,23 +129,6 @@ class GroupCharacter:
             raise ValueError(f"character table not multiplicative at ({pair[0]}, {pair[1]})")
         self._values = table
 
-    @classmethod
-    def from_index(cls, group: FiniteAbelianGroup, index: Element) -> "GroupCharacter":
-        """Character g -> e(sum_j index_j * g_j / n_j); indices modulo the orders."""
-        index = tuple(int(k) for k in index)
-        values = {}
-        for g in group.elements():
-            t = sum(
-                (Fraction(k * a, n) for k, a, n in zip(index, g, group.cyclic_orders)),
-                Fraction(0),
-            )
-            values[g] = RadicalElement.root_of_unity(t)
-        return cls(group, values)
-
-    @classmethod
-    def trivial(cls, group: FiniteAbelianGroup) -> "GroupCharacter":
-        return cls.from_index(group, group.identity)
-
     def __call__(self, g: Element) -> RadicalElement:
         return self._values[g]
 
@@ -192,7 +161,3 @@ class GroupCharacter:
     def __repr__(self):
         return f"GroupCharacter({self.group}, {self._values})"
 
-
-def all_characters(group: FiniteAbelianGroup) -> list[GroupCharacter]:
-    """The full dual group, enumerated in the canonical element order."""
-    return [GroupCharacter.from_index(group, idx) for idx in group.elements()]

@@ -33,11 +33,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a: Matrix, s) -> Matrix:
-    s = Fraction(s)
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return ()

@@ -69,9 +69,6 @@ class QCurveDatum:
         self.cocycle = cocycle
         self._violation = _UNCHECKED
 
-    def degree(self, g: Element) -> int:
-        return self.degrees[g]
-
     def violation(self) -> Optional[CocycleViolation | DegreeIdentityViolation]:
         """First failed invariant: the cocycle identity, deg(1) = 1, or the
         degree identity c(g, h)^2 = deg(g) deg(h) / deg(gh).  The datum is
@@ -244,6 +241,6 @@ def brauer_order(datum: QCurveDatum) -> int:
     violation = datum.violation()
     if violation is not None:
         raise ValueError(f"invalid datum: {violation}")
-    if power_splits_over_rationals(datum.cocycle, 1):
+    if power_splits_over_rationals(datum.cocycle):
         return ORDER_ONE
     return ORDER_TWO

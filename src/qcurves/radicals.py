@@ -14,7 +14,6 @@ is rational iff its torsion lies in {0, 1/2} and all exponents are integers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ class RadicalElement:
         t = Fraction(torsion) % 1
         items = []
         if exponents:
-            for p, r in exponents.items() if isinstance(exponents, dict) else exponents:
+            for p, r in exponents.items():
                 r = Fraction(r)
                 if r == 0:
                     continue
@@ -42,8 +41,6 @@ class RadicalElement:
                     raise ValueError(f"exponent index {p} is not a prime")
                 items.append((int(p), r))
         items.sort()
-        if len({p for p, _ in items}) != len(items):
-            raise ValueError("duplicate prime in exponent table")
         object.__setattr__(self, "_torsion", t)
         object.__setattr__(self, "_exponents", tuple(items))
 
@@ -91,12 +88,6 @@ class RadicalElement:
     @property
     def exponents(self) -> dict[int, Fraction]:
         return dict(self._exponents)
-
-    def exponent(self, p: int) -> Fraction:
-        for q, r in self._exponents:
-            if q == p:
-                return r
-        return _ZERO
 
     # -- group law -----------------------------------------------------
 
@@ -178,13 +169,6 @@ class RadicalElement:
             q, d = -q, -d
         return q, d
 
-    def complex_value(self) -> complex:
-        """Floating-point value; for testing against exact arithmetic only."""
-        z = cmath.exp(2j * cmath.pi * float(self._torsion))
-        for p, r in self._exponents:
-            z *= math.pow(p, float(r))
-        return z
-
     # -- canonical identity ---------------------------------------------
 
     def __eq__(self, other):
@@ -235,8 +219,3 @@ def log_coordinates(values: list[RadicalElement]) -> tuple[list[int], frozenset[
         for v in family
     }
     return [coordinate[id(v)] for v in values], frozenset((-den, 0, den))
-
-
-ONE = RadicalElement.one()
-MINUS_ONE = RadicalElement.minus_one()
-I = RadicalElement.root_of_unity(Fraction(1, 4))

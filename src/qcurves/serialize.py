@@ -9,11 +9,14 @@ object keyed by decimal prime strings; quadratic field elements are objects
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Any
 
-from .arith import format_fraction, parse_fraction
+from .algebra import EndAlgebraDescriptor
+from .arith import check_size, format_fraction, parse_fraction
 from .cohomology import OneCochain, TwoCocycle
+from .errors import InputLimit
 from .fields import MultiquadraticField, QuadraticElement
 from .groups import Element, FiniteAbelianGroup
 from .pipeline import FrobeniusAssignment, FrobeniusEntry, QCurveDatum
@@ -36,7 +39,7 @@ def _prime(raw: dict) -> int:
     p = raw["p"]
     if not _is_int(p):
         raise ParseError(f'"p" must be an integer, got {p!r}')
-    return p
+    return check_size(p)
 
 
 def _good(raw: dict) -> bool:
@@ -67,8 +70,10 @@ def radical_from_json(obj: Any) -> RadicalElement:
         raise ParseError(f'bad radical {obj!r}: "exponents" must be an object')
     try:
         torsion = parse_fraction(obj.get("torsion", "0/1"))
-        exponents = {int(p): parse_fraction(r) for p, r in raw_exponents.items()}
+        exponents = {check_size(int(p)): parse_fraction(r) for p, r in raw_exponents.items()}
         return RadicalElement(torsion, exponents)
+    except InputLimit:
+        raise
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad radical {obj!r}: {exc}") from None
 
@@ -178,6 +183,20 @@ def field_to_json(f: MultiquadraticField) -> dict:
 # -- pipeline documents -------------------------------------------------------
 
 
+def descriptor_from_json(obj: Any) -> EndAlgebraDescriptor:
+    """An endomorphism-algebra descriptor: an object of five JSON integers."""
+    if not isinstance(obj, dict):
+        raise ParseError('"descriptor" must be an object')
+    values = {}
+    for name in (f.name for f in dataclasses.fields(EndAlgebraDescriptor)):
+        if name not in obj:
+            raise ParseError(f"bad descriptor: {name!r}")
+        if not _is_int(obj[name]):
+            raise ParseError(f"bad descriptor: {name!r} must be an integer, got {obj[name]!r}")
+        values[name] = obj[name]
+    return EndAlgebraDescriptor(**values)
+
+
 def qcurve_datum_from_json(obj: Any) -> QCurveDatum:
     if not isinstance(obj, dict):
         raise ParseError("datum document must be an object")
@@ -190,9 +209,9 @@ def qcurve_datum_from_json(obj: Any) -> QCurveDatum:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"bad degree pair {pair!r}")
         g = element_from_json(pair[0], group)
-        if not isinstance(pair[1], int):
+        if not _is_int(pair[1]):
             raise ParseError(f"degree at {pair[0]} must be an integer")
-        degrees[g] = pair[1]
+        degrees[g] = check_size(pair[1])
     degrees.setdefault(group.identity, 1)
     cocycle = cocycle_from_json(obj.get("cocycle", []), group)
     try:
@@ -270,12 +289,15 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
         return QuadraticElement.from_radical(radical_from_json(obj))
     if not isinstance(obj, dict) or "a" not in obj:
         raise ParseError(f"bad field element {obj!r}")
+    d = obj.get("d", 1)
+    if not _is_int(d):
+        raise ParseError(f'bad field element {obj!r}: "d" must be an integer')
     try:
         return QuadraticElement(
-            parse_fraction(obj["a"]),
-            parse_fraction(obj.get("b", 0)),
-            int(obj.get("d", 1)),
+            parse_fraction(obj["a"]), parse_fraction(obj.get("b", 0)), check_size(d)
         )
+    except InputLimit:
+        raise
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad field element {obj!r}: {exc}") from None
 
@@ -327,6 +349,8 @@ def trace_table_from_json(obj: Any) -> TraceTable:
     raw_gens = obj.get("E_generators", [])
     if not isinstance(raw_gens, list) or not all(_is_int(d) for d in raw_gens):
         raise ParseError('"E_generators" must be a list of squarefree integers')
+    for d in raw_gens:
+        check_size(d)
     try:
         field_e = MultiquadraticField.from_square_classes(raw_gens)
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -11,14 +12,17 @@ from qcurves import (
     AlgebraElement,
     AlgebraHom,
     DirichletCharacterData,
+    FactorProduct,
     FiniteAbelianGroup,
+    GroupCharacter,
     OneCochain,
+    QCurveDatum,
     QuadraticElement,
     TraceEntry,
     TwistedGroupAlgebra,
     TwoCocycle,
 )
-from qcurves.cohomology import character_twists, split_cocycle
+from qcurves.cohomology import CommutatorPairing, split_cocycle
 from qcurves.descent import (
     BlockMap,
     DescentDatum,
@@ -33,7 +37,6 @@ from qcurves.linalg import (
     identity,
     is_invertible,
     mat_mul,
-    mat_scale,
     matrix,
     rank,
     rref,
@@ -42,6 +45,14 @@ from qcurves.linalg import (
 from qcurves.radicals import RadicalElement
 
 PRIMES = (2, 3, 5)
+
+
+def complex_value(x: RadicalElement) -> complex:
+    """Floating-point value of a radical, to test exact arithmetic against."""
+    z = cmath.exp(2j * cmath.pi * float(x.torsion))
+    for p, r in x.exponents.items():
+        z *= math.pow(p, float(r))
+    return z
 
 
 def random_radical(
@@ -77,6 +88,22 @@ def klein_alternating_cocycle() -> TwoCocycle:
             sign = RadicalElement.minus_one() if (g[0] * h[1]) % 2 else RadicalElement.one()
             values[(g, h)] = sign
     return TwoCocycle(group, values)
+
+
+def pairing_is_alternating(pairing: CommutatorPairing) -> bool:
+    return all(pairing(g, g).is_one for g in pairing.group.elements())
+
+
+def pairing_is_bimultiplicative(pairing: CommutatorPairing) -> bool:
+    els = pairing.group.elements()
+    add = pairing.group.add
+    return all(
+        pairing(add(g1, g2), h) == pairing(g1, h) * pairing(g2, h)
+        and pairing(h, add(g1, g2)) == pairing(h, g1) * pairing(h, g2)
+        for g1 in els
+        for g2 in els
+        for h in els
+    )
 
 
 def brute_force_splittable(c: TwoCocycle, value_pool) -> bool:
@@ -122,19 +149,42 @@ def radical_scan(c: TwoCocycle):
 
 
 # ---------------------------------------------------------------------------
-# Rational-twist oracle: the search over every character twist
+# Characters of finite abelian groups, and the search over character twists
 # ---------------------------------------------------------------------------
 
 
-def power_splits_by_twists(c: TwoCocycle, k: int) -> bool:
-    """Whether c^k splits rationally, by search: the exponents of the
+def character(group: FiniteAbelianGroup, index) -> GroupCharacter:
+    """The character g -> e(sum_j index_j * g_j / n_j); indices modulo the orders."""
+    values = {
+        g: RadicalElement.root_of_unity(
+            sum((Fraction(k * a, n) for k, a, n in zip(index, g, group.cyclic_orders)), Fraction(0))
+        )
+        for g in group.elements()
+    }
+    return GroupCharacter(group, values)
+
+
+def all_characters(group: FiniteAbelianGroup) -> list[GroupCharacter]:
+    """The full dual group, enumerated in the canonical element order."""
+    return [character(group, index) for index in group.elements()]
+
+
+def twist(a: OneCochain, chi: GroupCharacter) -> OneCochain:
+    return OneCochain(a.group, {g: v * chi(g) for g, v in a.values().items()})
+
+
+def character_twists(a: OneCochain) -> list[OneCochain]:
+    """All cochains with the same coboundary obtained by character twists."""
+    return [twist(a, chi) for chi in all_characters(a.group)]
+
+
+def power_splits_by_twists(c: TwoCocycle) -> bool:
+    """Whether c splits rationally, by search: the exponents of the
     canonical splitting must be integers (twists adjust only torsion), and
     then one of its |G| character twists must be rational-valued."""
-    if k < 1:
-        raise ValueError("power must be a positive integer")
     if not c.is_rational_valued:
         raise ValueError("rational class order is defined for rational cocycles only")
-    result = split_cocycle(c if k == 1 else c**k)
+    result = split_cocycle(c)
     if not result.split:
         return False
     a = result.cochain
@@ -214,6 +264,11 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
+def mat_scale(a: Matrix, s) -> Matrix:
+    s = Fraction(s)
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
     augmented = tuple(row + ident_row for row, ident_row in zip(a, identity(n)))
@@ -253,6 +308,15 @@ def kernel_basis(hom: AlgebraHom) -> list[AlgebraElement]:
     return [
         AlgebraElement(hom.algebra, dict(zip(elements, v))) for v in nullspace(tuple(rows))
     ]
+
+
+def maps_to_one(hom: AlgebraHom, x: AlgebraElement) -> bool:
+    """Whether the hom sends x to 1, summed in square-class coordinates."""
+    coords: dict[int, Fraction] = {}
+    for g, coeff in x.coefficients.items():
+        q, d = hom.coordinates[g]
+        coords[d] = coords.get(d, Fraction(0)) + coeff * q
+    return {d: q for d, q in coords.items() if q} == {1: Fraction(1)}
 
 
 def left_multiplication_matrix(algebra: TwistedGroupAlgebra, x: AlgebraElement) -> Matrix:
@@ -420,6 +484,20 @@ def eta_oracle(datum: DescentDatum) -> DescentReport:
         fixed_by_all=fixed,
         diagonal_image_ok=diagonal_ok,
     )
+
+
+def product_action(datum: QCurveDatum) -> dict:
+    """The twisted action on the plain product: slot s goes to slot g*s with
+    coefficient c(g, s) against the identity isogeny."""
+    product = FactorProduct.of_group(datum.group, 1)
+    action = {}
+    for g in datum.group.elements():
+        blocks = {}
+        for s in product.labels:
+            coeff = datum.cocycle.rational_value(g, s)
+            blocks[(datum.group.add(g, s), s)] = ((coeff,),)
+        action[g] = BlockMap(product, product, blocks)
+    return action
 
 
 def iota_by_closures(datum, iota_scale=None):

@@ -7,14 +7,23 @@ cases check that a hard input exits 2 with a message naming its bound.
 """
 
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import factorint, isprime, nextprime
 
 from qcurves import arith
-from qcurves.arith import EXACT_PRIMALITY_BOUND, factor_positive, is_prime, squarefree_part
+from qcurves.arith import (
+    EXACT_PRIMALITY_BOUND,
+    check_size,
+    factor_positive,
+    is_prime,
+    parse_fraction,
+    squarefree_part,
+)
 from qcurves.cli import main
 from qcurves.errors import InputLimit
 
@@ -162,3 +171,42 @@ def test_cocycle_value_past_the_rho_budget_exits_two_quickly(tmp_path, capsys):
     assert code == 2
     assert "2^20" in report["error"]
     assert elapsed < 2.0
+
+
+# -- the input size bound ------------------------------------------------------------
+
+LIMIT = 2**arith.INPUT_BITS  # the least magnitude past the bound
+
+
+def test_integers_at_the_bound_pass_and_one_bit_more_is_an_input_limit():
+    assert check_size(LIMIT - 1) == LIMIT - 1
+    assert check_size(1 - LIMIT) == 1 - LIMIT
+    for n in (LIMIT, -LIMIT):
+        with pytest.raises(InputLimit, match="input limit of 512 bits"):
+            check_size(n)
+
+
+@pytest.mark.parametrize("text", [LIMIT - 1, f"{LIMIT - 1}/1", f"-7/{LIMIT - 1}", "1e154"])
+def test_fractions_within_the_bound_parse(text):
+    assert parse_fraction(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", [LIMIT, f"{LIMIT}/1", f"-7/{LIMIT}", "1e155", "1e-155", "1e513", "1E+5_13"]
+)
+def test_fractions_past_the_bound_are_an_input_limit(text):
+    with pytest.raises(InputLimit, match="input limit of 512 bits"):
+        parse_fraction(text)
+
+
+def test_a_4000_digit_cocycle_value_exits_two_before_any_factoring(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name == "qcurves" or name.startswith("qcurves."):
+            for binding in ("is_prime", "factor_positive"):
+                if hasattr(module, binding):
+                    monkeypatch.setattr(module, binding, lambda n, b=binding: calls.append(b))
+    code, report = run_cocycle_value(tmp_path, capsys, 10**3999 + 7)
+    assert code == 2
+    assert report == {"error": "a 13285-bit integer is past the input limit of 512 bits"}
+    assert calls == []

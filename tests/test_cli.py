@@ -43,6 +43,15 @@ def test_quadratic_zero_is_bad_input(capsys):
     assert "error" in report
 
 
+def test_quadratic_m_is_bounded(capsys):
+    code, report = run(capsys, "quadratic", "-m", str(2**512), "--k-signature", "real")
+    assert code == 2
+    assert report == {"error": "a 513-bit integer is past the input limit of 512 bits"}
+    code, report = run(capsys, "quadratic", "-m", str(2**511), "--k-signature", "real")
+    assert code == 0
+    assert report["algebra"]["field_class"] == 2
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     builds = {"n": 0}
     original = cli.build_parser
@@ -336,6 +345,12 @@ def frobenius_prime(p):
     return "construct", doc
 
 
+def trace_d(d):
+    doc = traces_doc()
+    doc["entries"][0]["a_p"]["d"] = d
+    return "traces", doc
+
+
 def trace_good(flag):
     doc = traces_doc()
     doc["entries"][0]["good"] = flag
@@ -371,6 +386,17 @@ def e_generators_bool():
     return "traces", doc
 
 
+def degree(value):
+    return "construct", construct_doc(1, value)
+
+
+def descriptor(**fields):
+    values = dict.fromkeys(
+        ("n", "division_degree", "center_degree", "maximal_field_degree", "abelian_variety_dim"), 1
+    )
+    return "algebra", {"descriptor": {**values, **fields}}
+
+
 def group_element(entry):
     doc = {"cyclic_orders": [4], "values": [[[entry], [1], "1/1"]]}
     return "validate-cocycle", doc
@@ -394,6 +420,14 @@ MALFORMED = {
     "element_float": lambda: group_element(1.9),
     "element_string": lambda: group_element("2"),
     "element_bool": lambda: group_element(True),
+    "degree_bool": lambda: degree(True),
+    "trace_d_float": lambda: trace_d(-1.0),
+    "trace_d_bool": lambda: trace_d(True),
+    "trace_d_string": lambda: trace_d("-1"),
+    "descriptor_n_float": lambda: descriptor(n=1.9),
+    "descriptor_n_bool": lambda: descriptor(n=True),
+    "descriptor_n_string": lambda: descriptor(n="1"),
+    "descriptor_dimension_float": lambda: descriptor(abelian_variety_dim=1.0),
 }
 
 

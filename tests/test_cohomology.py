@@ -9,18 +9,21 @@ import pytest
 from qcurves.cohomology import (
     OneCochain,
     TwoCocycle,
-    character_twists,
     power_splits_over_rationals,
     split_cocycle,
 )
 from qcurves.errors import InvalidCocycle
-from qcurves.groups import FiniteAbelianGroup, all_characters
+from qcurves.groups import FiniteAbelianGroup
 from qcurves.radicals import RadicalElement
 
 from helpers import (
+    all_characters,
     brute_force_splittable,
+    character_twists,
     klein_alternating_cocycle,
     mu8_sqrt2_pool,
+    pairing_is_alternating,
+    pairing_is_bimultiplicative,
     random_cochain,
 )
 
@@ -143,8 +146,8 @@ def test_klein_alternating_cocycle_is_obstructed():
     result = split_cocycle(c)
     assert not result.split
     pairing = result.obstruction
-    assert pairing.is_alternating
-    assert pairing.is_bimultiplicative
+    assert pairing_is_alternating(pairing)
+    assert pairing_is_bimultiplicative(pairing)
     assert not pairing.is_trivial
     assert pairing((1, 0), (0, 1)) == RadicalElement.minus_one()
 
@@ -227,32 +230,32 @@ def z2_rational_order_oracle(m, k) -> bool:
 
 def test_rational_coboundary_detected():
     a = OneCochain(Z2, {(0,): RadicalElement.one(), SIGMA: RadicalElement.from_rational(6)})
-    assert power_splits_over_rationals(a.coboundary(), 1)
+    assert power_splits_over_rationals(a.coboundary())
 
 
 @pytest.mark.parametrize("m", [2, -2, 3, 4, -4, 9, 12, -1, 49, -50])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_z2_class_order_matches_square_oracle(m, k):
-    assert power_splits_over_rationals(z2_cocycle(m), k) == z2_rational_order_oracle(m, k)
+    assert power_splits_over_rationals(z2_cocycle(m) ** k) == z2_rational_order_oracle(m, k)
 
 
 def test_z2_value_two_has_order_exactly_two():
     c = z2_cocycle(2)
-    assert not power_splits_over_rationals(c, 1)
-    assert power_splits_over_rationals(c, 2)
+    assert not power_splits_over_rationals(c)
+    assert power_splits_over_rationals(c**2)
 
 
 def test_klein_alternating_square_splits_rationally():
     c = klein_alternating_cocycle()
-    assert not power_splits_over_rationals(c, 1)
-    assert power_splits_over_rationals(c, 2)
+    assert not power_splits_over_rationals(c)
+    assert power_splits_over_rationals(c**2)
 
 
 def test_rational_values_required():
     sqrt2 = RadicalElement.from_rational(2).nth_root(2)
     c = TwoCocycle(Z2, {(SIGMA, SIGMA): sqrt2})
     with pytest.raises(ValueError):
-        power_splits_over_rationals(c, 1)
+        power_splits_over_rationals(c)
 
 
 def test_rational_splitting_on_z4():
@@ -261,4 +264,4 @@ def test_rational_splitting_on_z4():
         values = {g: RadicalElement.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 4))) for g in Z4.elements()}
         values[(0,)] = RadicalElement.one()
         a = OneCochain(Z4, values)
-        assert power_splits_over_rationals(a.coboundary(), 1)
+        assert power_splits_over_rationals(a.coboundary())

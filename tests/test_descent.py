@@ -15,7 +15,6 @@ from qcurves.descent import (
     compatibility_violation,
     eta_descent,
     iota_equivariance_violation,
-    product_action,
 )
 from qcurves.errors import CompatibilityRequired
 from qcurves.groups import FiniteAbelianGroup
@@ -25,6 +24,8 @@ from helpers import (
     compatibility_pair_scan,
     dense,
     eta_oracle,
+    mat_scale,
+    product_action,
     random_descent_datum,
     scale_block_map,
 )
@@ -224,7 +225,7 @@ def perturbed_data(draw):
         i = draw(st.integers(0, len(group.cyclic_orders) - 1))
         q = draw(st.sampled_from(SCALARS))
         return DescentDatum(
-            group, n, {g: linalg.mat_scale(m, q ** g[i]) for g, m in datum.mu.items()}
+            group, n, {g: mat_scale(m, q ** g[i]) for g, m in datum.mu.items()}
         )
     g = draw(st.sampled_from(group.elements()[1:]))
     m = [list(row) for row in datum.mu[g]]
