@@ -35,13 +35,15 @@ at or above the bound, or a split past the rho budget, is a hard input.
 The cost of finding that out still grows with n (each rho step and each
 Miller-Rabin base is a multiplication modulo n), so the numbers a document
 gives are bounded where they are parsed, before any factoring:
-``check_size`` and ``parse_fraction`` raise ``InputLimit`` on an integer,
-numerator or denominator of more than ``INPUT_BITS`` = 512 bits.
+``check_size``, ``parse_fraction`` and ``parse_ratio`` raise ``InputLimit``
+on an integer, numerator or denominator of more than ``INPUT_BITS`` = 512
+bits.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InputLimit
@@ -110,6 +112,27 @@ def parse_fraction(s: str | int) -> Fraction:
     check_size(q.numerator)
     check_size(q.denominator)
     return q
+
+
+# "a/b" as format_fraction writes it; 160 digits hold any 512-bit integer and
+# stay far below the digit limit of int()
+_RATIO = re.compile(r"-?[0-9]{1,160}/[0-9]{1,160}")
+
+
+def parse_ratio(s: str | int) -> tuple[int, int]:
+    """parse_fraction(s) as (numerator, denominator), read without building a
+    Fraction when s is a JSON integer or an "a/b" string of decimal digits;
+    any other input goes through parse_fraction, with its errors."""
+    if type(s) is int:
+        return check_size(s), 1
+    if type(s) is str and _RATIO.fullmatch(s):
+        num, _, den = s.partition("/")
+        num, den = int(num), int(den)
+        if den:
+            g = math.gcd(num, den)
+            return check_size(num // g), check_size(den // g)
+    q = parse_fraction(s)
+    return q.numerator, q.denominator
 
 
 def format_fraction(q: Fraction) -> str:

@@ -8,8 +8,11 @@ stores a canonical reduced basis (row echelon over F_2, indices ordered
 The degree over Q is 2^rank, and the field is totally real iff no basis class
 carries the -1 component (a basis-independent condition).
 
-Elements of a quadratic subfield Q(sqrt(d)) are kept exactly as a + b*sqrt(d)
-with rational a, b and squarefree d; sqrt(d) for d < 0 denotes i*sqrt(|d|).
+Elements of a quadratic subfield Q(sqrt(d)) are kept exactly, in integers, as
+(x + y*sqrt(d)) / n with squarefree d, in a normal form (n > 0,
+gcd(x, y, n) = 1, d = 1 exactly when y = 0); sqrt(d) for d < 0 denotes
+i*sqrt(|d|).  The rational coordinates a = x/n and b = y/n are read as
+Fractions.
 """
 
 from __future__ import annotations
@@ -134,29 +137,46 @@ def quadratic_classes_in_cyclotomic(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadraticElement:
-    """a + b*sqrt(d) with rational a, b and squarefree d (d = 1 forces b = 0)."""
+    """(x + y*sqrt(d)) / n with integers x, y, n and squarefree d.
 
-    a: Fraction
-    b: Fraction
-    d: int
+    The coordinates are in normal form: n > 0, gcd(x, y, n) = 1, and d = 1
+    exactly when y = 0.  So equal elements have equal coordinates, which
+    equality and hashing read directly.  Elements are values: nothing
+    assigns to the coordinates after construction.  The public constructor
+    takes rational coordinates a + b*sqrt(d) and checks that d is
+    squarefree; arithmetic results are built by ``_reduced``, which only
+    divides out the gcd and fixes the sign of n.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0:
-            object.__setattr__(self, "d", 1)
-        elif self.d == 1:
-            object.__setattr__(self, "a", self.a + self.b)
-            object.__setattr__(self, "b", Fraction(0))
-        else:
-            if self.d == 0 or squarefree_part(self.d) != self.d:
-                raise ValueError(f"{self.d} is not a squarefree class")
+    __slots__ = ("x", "y", "n", "d")
+
+    def __init__(self, a, b, d: int):
+        a, b = Fraction(a), Fraction(b)
+        n = math.lcm(a.denominator, b.denominator)
+        r = self.from_coordinates(
+            a.numerator * (n // a.denominator), b.numerator * (n // b.denominator), n, d
+        )
+        self.x, self.y, self.n, self.d = r.x, r.y, r.n, r.d
+
+    @classmethod
+    def from_coordinates(cls, x: int, y: int, n: int, d: int) -> "QuadraticElement":
+        """(x + y*sqrt(d)) / n from integers.  d must be a squarefree class
+        other than 1 unless y = 0; d = 1 reads sqrt(d) as 1."""
+        if n == 0:
+            raise ZeroDivisionError("quadratic element with denominator 0")
+        if y == 0:
+            d = 1
+        elif d == 1:
+            x, y = x + y, 0
+        elif d == 0 or squarefree_part(d) != d:
+            raise ValueError(f"{d} is not a squarefree class")
+        return _reduced(x, y, n, d)
 
     @classmethod
     def from_rational(cls, q) -> "QuadraticElement":
-        return _trusted(Fraction(q), _ZERO, 1)
+        q = Fraction(q)
+        return _reduced(q.numerator, 0, q.denominator, 1)
 
     @classmethod
     def from_radical(cls, x: RadicalElement) -> "QuadraticElement":
@@ -165,15 +185,35 @@ class QuadraticElement:
             return cls.from_rational(q)
         return cls(Fraction(0), q, d)
 
-    # -- predicates ------------------------------------------------------
+    # -- coordinates and predicates ----------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part x / n."""
+        return Fraction(self.x, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient y / n of sqrt(d)."""
+        return Fraction(self.y, self.n)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticElement):
+            return NotImplemented
+        return (
+            self.x == other.x and self.y == other.y and self.n == other.n and self.d == other.d
+        )
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.n, self.d))
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.x == 0 and self.y == 0
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.y == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
@@ -182,14 +222,14 @@ class QuadraticElement:
 
     def generated_class(self) -> int:
         """Square class of the quadratic field Q(self) over Q (1 when rational)."""
-        return 1 if self.b == 0 else self.d
+        return self.d
 
     # -- arithmetic (same subfield, or one operand rational) --------------
 
     def _join(self, other: "QuadraticElement") -> int:
-        if self.d == other.d or other.b == 0:
+        if self.d == other.d or other.y == 0:
             return self.d
-        if self.b == 0:
+        if self.y == 0:
             return other.d
         raise ValueOutsideField(
             f"cannot combine elements of Q(sqrt({self.d})) and Q(sqrt({other.d}))"
@@ -198,74 +238,78 @@ class QuadraticElement:
     def __add__(self, other):
         other = _as_quadratic(other)
         d = self._join(other)
-        return _trusted(self.a + other.a, self.b + other.b, d)
+        n, m = self.n, other.n
+        return _reduced(self.x * m + other.x * n, self.y * m + other.y * n, n * m, d)
 
     def __sub__(self, other):
         other = _as_quadratic(other)
         d = self._join(other)
-        return _trusted(self.a - other.a, self.b - other.b, d)
+        n, m = self.n, other.n
+        return _reduced(self.x * m - other.x * n, self.y * m - other.y * n, n * m, d)
 
     def __neg__(self):
-        return _trusted(-self.a, -self.b, self.d)
+        return _reduced(-self.x, -self.y, self.n, self.d)
 
     def __mul__(self, other):
+        if type(other) is int:  # an integer scales the numerators
+            return _reduced(self.x * other, self.y * other, self.n, self.d)
         other = _as_quadratic(other)
-        if not other.b:  # a rational factor scales both coordinates
-            return _trusted(self.a * other.a, self.b * other.a, self.d)
-        if not self.b:
-            return _trusted(self.a * other.a, self.a * other.b, other.d)
         d = self._join(other)
-        return _trusted(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        x, y, u, v = self.x, self.y, other.x, other.y
+        return _reduced(x * u + y * v * d, x * v + y * u, self.n * other.n, d)
 
     def __truediv__(self, other):
         other = _as_quadratic(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero quadratic element")
-        if not other.b:
-            return _trusted(self.a / other.a, self.b / other.a, self.d)
-        norm = other.a * other.a - other.b * other.b * other.d
-        inv = _trusted(other.a / norm, -other.b / norm, other.d)
-        return self * inv
+        # self / other = self * conj(other) * m / (u^2 - v^2 d) for other = (u + v sqrt d) / m
+        d = self._join(other)
+        x, y, u, v, m = self.x, self.y, other.x, other.y, other.n
+        return _reduced(
+            (x * u - y * v * d) * m, (y * u - x * v) * m, self.n * (u * u - v * v * other.d), d
+        )
 
     def square(self) -> "QuadraticElement":
-        return self * self
+        x, y = self.x, self.y
+        return _reduced(x * x + y * y * self.d, 2 * x * y, self.n * self.n, self.d)
 
     def conjugate(self) -> "QuadraticElement":
         """The nontrivial automorphism a + b*sqrt(d) -> a - b*sqrt(d)."""
-        return _trusted(self.a, -self.b, self.d)
+        return _reduced(self.x, -self.y, self.n, self.d)
 
-    def embedding_moduli(self) -> tuple[float, ...]:
-        """|sigma(x)| over the embeddings of Q(sqrt(d)); floats, for bounds only."""
-        if self.d > 0:
-            r = math.sqrt(self.d)
-            return (abs(float(self.a) + float(self.b) * r), abs(float(self.a) - float(self.b) * r))
-        m = float(self.a) ** 2 + float(self.b) ** 2 * abs(self.d)
-        return (math.sqrt(m), math.sqrt(m))
+    def moduli_at_most_sqrt(self, m: int) -> bool:
+        """Whether |sigma(self)| <= sqrt(m) under both embeddings sigma of
+        Q(sqrt(d)), decided in integers, without a square root."""
+        x2, y2d, bound = self.x * self.x, self.y * self.y * self.d, m * self.n * self.n
+        if self.d < 0:  # both embeddings have modulus squared (x^2 + y^2 |d|) / n^2
+            return x2 - y2d <= bound
+        # (x +- y sqrt d)^2 = x^2 + y^2 d +- 2 x y sqrt d, whose larger value is
+        # at most m n^2 exactly when 2 |x y| sqrt d <= L = m n^2 - x^2 - y^2 d
+        slack = bound - x2 - y2d
+        return slack >= 0 and 4 * x2 * y2d <= slack * slack
 
     def __repr__(self):
-        if self.b == 0:
+        if self.y == 0:
             return f"{self.a}"
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-_ZERO = Fraction(0)
+_new = object.__new__
 
 
-def _trusted(a: Fraction, b: Fraction, d: int) -> QuadraticElement:
-    """An arithmetic result or a constant, built without the public
-    constructor's checks.
+def _reduced(x: int, y: int, n: int, d: int) -> QuadraticElement:
+    """(x + y*sqrt(d)) / n in normal form, for integers with n != 0 and a
+    squarefree d (a class some operand was built with, or a literal class).
 
-    a and b are Fractions already and d is squarefree: a class some operand
-    was built with, or a literal class.  Only d = 1 for b = 0 is restored, so
-    equality and hashing see the same fields as for a publicly built element.
+    The one trusted constructor: it divides out gcd(x, y, n), makes n
+    positive and sets d = 1 when y = 0, and checks nothing else.
     """
-    x = object.__new__(QuadraticElement)
-    x.__dict__.update(a=a, b=b, d=d if b else 1)
-    return x
+    g = math.gcd(x, y, n)
+    if n < 0:
+        g = -g
+    r = _new(QuadraticElement)
+    r.x, r.y, r.n, r.d = x // g, y // g, n // g, d if y else 1
+    return r
 
 
 def _as_quadratic(x) -> QuadraticElement:
@@ -276,15 +320,16 @@ def _as_quadratic(x) -> QuadraticElement:
     raise TypeError(f"cannot interpret {x!r} as a quadratic element")
 
 
+# torsion t -> exp(2 pi i t) as (x, y, n, d)
 _TORSION_AS_QUADRATIC = {
-    Fraction(0): _trusted(Fraction(1), _ZERO, 1),
-    Fraction(1, 2): _trusted(Fraction(-1), _ZERO, 1),
-    Fraction(1, 4): _trusted(_ZERO, Fraction(1), -1),
-    Fraction(3, 4): _trusted(_ZERO, Fraction(-1), -1),
-    Fraction(1, 3): _trusted(Fraction(-1, 2), Fraction(1, 2), -3),
-    Fraction(2, 3): _trusted(Fraction(-1, 2), Fraction(-1, 2), -3),
-    Fraction(1, 6): _trusted(Fraction(1, 2), Fraction(1, 2), -3),
-    Fraction(5, 6): _trusted(Fraction(1, 2), Fraction(-1, 2), -3),
+    Fraction(0): _reduced(1, 0, 1, 1),
+    Fraction(1, 2): _reduced(-1, 0, 1, 1),
+    Fraction(1, 4): _reduced(0, 1, 1, -1),
+    Fraction(3, 4): _reduced(0, -1, 1, -1),
+    Fraction(1, 3): _reduced(-1, 1, 2, -3),
+    Fraction(2, 3): _reduced(-1, -1, 2, -3),
+    Fraction(1, 6): _reduced(1, 1, 2, -3),
+    Fraction(5, 6): _reduced(1, -1, 2, -3),
 }
 
 

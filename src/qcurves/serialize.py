@@ -4,17 +4,19 @@ All rationals travel as reduced "a/b" strings with positive denominator
 (bare integers are accepted on input).  Group elements are lists of
 integers.  Radicals are objects with a "torsion" fraction and an "exponents"
 object keyed by decimal prime strings; quadratic field elements are objects
-{"a", "b", "d"} meaning a + b*sqrt(d).
+{"a", "b", "d"} meaning a + b*sqrt(d).  An object key that names an integer
+(a prime, a character residue) must be written in canonical decimal form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Any
 
 from .algebra import EndAlgebraDescriptor
-from .arith import check_size, format_fraction, parse_fraction
+from .arith import check_size, format_fraction, parse_fraction, parse_ratio
 from .cohomology import OneCochain, TwoCocycle
 from .errors import InputLimit
 from .fields import MultiquadraticField, QuadraticElement
@@ -50,6 +52,15 @@ def _good(raw: dict) -> bool:
     return good
 
 
+def _key(k: str) -> int:
+    """An object key naming an integer, in canonical decimal form only: "3",
+    never " 3", "03", "+3" or "3_0", so that two keys never name one integer."""
+    n = int(k)
+    if str(n) != k:
+        raise ParseError(f"object key {k!r} is not a canonical decimal integer")
+    return n
+
+
 # -- radicals ---------------------------------------------------------------
 
 
@@ -70,7 +81,7 @@ def radical_from_json(obj: Any) -> RadicalElement:
         raise ParseError(f'bad radical {obj!r}: "exponents" must be an object')
     try:
         torsion = parse_fraction(obj.get("torsion", "0/1"))
-        exponents = {check_size(int(p)): parse_fraction(r) for p, r in raw_exponents.items()}
+        exponents = {check_size(_key(p)): parse_fraction(r) for p, r in raw_exponents.items()}
         return RadicalElement(torsion, exponents)
     except InputLimit:
         raise
@@ -293,9 +304,11 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
     if not _is_int(d):
         raise ParseError(f'bad field element {obj!r}: "d" must be an integer')
     try:
-        return QuadraticElement(
-            parse_fraction(obj["a"]), parse_fraction(obj.get("b", 0)), check_size(d)
-        )
+        a_num, a_den = parse_ratio(obj["a"])
+        b_num, b_den = parse_ratio(obj.get("b", 0))
+        n = math.lcm(a_den, b_den)
+        x, y = a_num * (n // a_den), b_num * (n // b_den)
+        return QuadraticElement.from_coordinates(x, y, n, check_size(d))
     except InputLimit:
         raise
     except (ValueError, TypeError) as exc:
@@ -303,11 +316,17 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
 
 
 def quadratic_to_json(x: QuadraticElement) -> dict:
-    out = {"a": format_fraction(x.a)}
-    if x.b:
-        out["b"] = format_fraction(x.b)
+    out = {"a": _ratio(x.x, x.n)}
+    if x.y:
+        out["b"] = _ratio(x.y, x.n)
         out["d"] = x.d
     return out
+
+
+def _ratio(k: int, n: int) -> str:
+    """k/n (n > 0) in lowest terms, as format_fraction writes it."""
+    g = math.gcd(k, n)
+    return f"{k // g}/{n // g}"
 
 
 def character_from_json(obj: Any) -> DirichletCharacterData:
@@ -320,7 +339,7 @@ def character_from_json(obj: Any) -> DirichletCharacterData:
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must be an object keyed by residue')
     values = {
-        int(r): RadicalElement.root_of_unity(parse_fraction(t)) for r, t in raw_values.items()
+        _key(r): RadicalElement.root_of_unity(parse_fraction(t)) for r, t in raw_values.items()
     }
     if modulus == 1:
         values.setdefault(0, RadicalElement.one())

@@ -19,7 +19,7 @@ quadratic coordinates once per residue class.  The checks are exact:
 * evenness of the character: value +1 at -1;
 * the Frobenius characteristic polynomial x^2 - a_p x + eps(p) p, with an
   advisory (never fatal) archimedean bound |a_p| <= 2 sqrt(p) under every
-  embedding.
+  embedding, decided exactly in integers.
 """
 
 from __future__ import annotations
@@ -223,8 +223,9 @@ def generated_field_f(table: TraceTable) -> InnerFieldReport:
     for entry in table.good_entries():
         if entry.a_p.is_zero:
             continue
+        # eps(p) is a root of unity, so dividing by it multiplies by its conjugate
         eps_value = table.epsilon.quadratic_value(entry.p)
-        t_values.append(entry.a_p.square() / eps_value)
+        t_values.append(entry.a_p.square() * eps_value.conjugate())
 
     field_f = MultiquadraticField.from_square_classes(
         [t.generated_class() for t in t_values if not t.is_rational]
@@ -264,6 +265,5 @@ def frobenius_charpoly(entry: TraceEntry, eps: DirichletCharacterData) -> Charpo
         raise ValueError(f"characteristic polynomial requested at the bad prime {entry.p}")
     eps_value = eps.quadratic_value(entry.p)
     determinant = eps_value * entry.p
-    bound = 2 * math.sqrt(entry.p) + 1e-9
-    weil_ok = all(m <= bound for m in entry.a_p.embedding_moduli())
+    weil_ok = entry.a_p.moduli_at_most_sqrt(4 * entry.p)  # |sigma(a_p)| <= 2 sqrt(p)
     return CharpolyReport(entry.p, entry.a_p, determinant, weil_ok)

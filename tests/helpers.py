@@ -6,6 +6,8 @@ import cmath
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from qcurves import (
@@ -22,6 +24,7 @@ from qcurves import (
     TwistedGroupAlgebra,
     TwoCocycle,
 )
+from qcurves.arith import squarefree_part
 from qcurves.cohomology import CommutatorPairing, split_cocycle
 from qcurves.descent import (
     BlockMap,
@@ -30,7 +33,7 @@ from qcurves.descent import (
     build_restriction,
     compatibility_violation,
 )
-from qcurves.errors import CompatibilityRequired
+from qcurves.errors import CompatibilityRequired, ValueOutsideField
 from qcurves.linalg import (
     Matrix,
     Vector,
@@ -618,3 +621,87 @@ def compliant_table_entries(
         u = root_of_unity_as_quadratic(value)
         entries.append(TraceEntry(p, compliant_trace_value(rng, field_real, d, u)))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Quadratic elements as a pair of Fractions (oracle for fields.QuadraticElement)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionQuadratic:
+    """a + b*sqrt(d) with Fraction coordinates and squarefree d (d = 1 forces
+    b = 0): the rational-pair element that QuadraticElement's integer
+    coordinates replaced, with the same join rule and error types."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        if self.b == 0:
+            object.__setattr__(self, "d", 1)
+        elif self.d == 1:
+            object.__setattr__(self, "a", self.a + self.b)
+            object.__setattr__(self, "b", Fraction(0))
+        elif self.d == 0 or squarefree_part(self.d) != self.d:
+            raise ValueError(f"{self.d} is not a squarefree class")
+
+    @classmethod
+    def of(cls, x: QuadraticElement) -> "FractionQuadratic":
+        return cls(x.a, x.b, x.d)
+
+    def _join(self, other: "FractionQuadratic") -> int:
+        if self.d == other.d or other.b == 0:
+            return self.d
+        if self.b == 0:
+            return other.d
+        raise ValueOutsideField(
+            f"cannot combine elements of Q(sqrt({self.d})) and Q(sqrt({other.d}))"
+        )
+
+    def __add__(self, other):
+        return FractionQuadratic(self.a + other.a, self.b + other.b, self._join(other))
+
+    def __sub__(self, other):
+        return FractionQuadratic(self.a - other.a, self.b - other.b, self._join(other))
+
+    def __neg__(self):
+        return FractionQuadratic(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        d = self._join(other)
+        return FractionQuadratic(
+            self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a, d
+        )
+
+    def __truediv__(self, other):
+        if other.a == 0 and other.b == 0:
+            raise ZeroDivisionError("division by zero quadratic element")
+        norm = other.a * other.a - other.b * other.b * other.d
+        return self * FractionQuadratic(other.a / norm, -other.b / norm, other.d)
+
+    def conjugate(self):
+        return FractionQuadratic(self.a, -self.b, self.d)
+
+
+def weil_bound_oracle(x: FractionQuadratic, p: int) -> bool:
+    """|sigma(x)| <= 2 sqrt(p) under both embeddings, in 3000-digit decimals.
+
+    The exact bound is met only on a boundary, where both sides agree to far
+    more than the tolerance; off it, 512-bit coordinates keep the two sides
+    apart by far more than the tolerance.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 3000
+        a = Decimal(x.a.numerator) / x.a.denominator
+        b = Decimal(x.b.numerator) / x.b.denominator
+        bound = 2 * Decimal(p).sqrt() * (1 + Decimal(10) ** -2000)
+        if x.d < 0:
+            moduli = [(a * a + b * b * -x.d).sqrt()]
+        else:
+            root = Decimal(x.d).sqrt()
+            moduli = [abs(a + b * root), abs(a - b * root)]
+        return all(m <= bound for m in moduli)

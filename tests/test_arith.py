@@ -22,6 +22,7 @@ from qcurves.arith import (
     factor_positive,
     is_prime,
     parse_fraction,
+    parse_ratio,
     squarefree_part,
 )
 from qcurves.cli import main
@@ -197,6 +198,37 @@ def test_fractions_within_the_bound_parse(text):
 def test_fractions_past_the_bound_are_an_input_limit(text):
     with pytest.raises(InputLimit, match="input limit of 512 bits"):
         parse_fraction(text)
+
+
+def outcome(parse, text):
+    """(numerator, denominator), or the type and message of the error."""
+    try:
+        q = parse(text)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return (q.numerator, q.denominator) if isinstance(q, Fraction) else q
+
+
+digits = st.one_of(st.integers(0, 10**6), st.integers(0, 2**514)).map(str)
+ratio_texts = st.one_of(
+    st.tuples(st.sampled_from(["", "-", "+", " "]), digits, st.sampled_from(["/", " / ", ""]), digits)
+    .map("".join),
+    st.tuples(digits, st.sampled_from(["_1", "0", " ", "e5", ".5"]), digits).map(
+        lambda t: f"{t[0]}{t[1]}/{t[2]}"
+    ),
+    st.sampled_from(["0/0", "3/0", "-0/5", "1/-2", "", "/", "1//2", "٣/4", "abc", "1e600"]),
+    st.integers(-(2**514), 2**514),
+    st.sampled_from([True, False, None, 1.5]),
+    st.just("1" * 160 + "/" + "1" * 160),
+    st.just("1" * 161 + "/3"),
+)
+
+
+@given(ratio_texts)
+@example("1" * 161 + "/" + "1" * 161)
+@example(f"{2**600}/{2**599}")
+def test_parse_ratio_reads_what_parse_fraction_reads(text):
+    assert outcome(parse_ratio, text) == outcome(parse_fraction, text)
 
 
 def test_a_4000_digit_cocycle_value_exits_two_before_any_factoring(tmp_path, capsys, monkeypatch):

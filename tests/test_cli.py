@@ -310,6 +310,18 @@ def test_traces_ok(tmp_path, capsys):
     assert report["F"]["totally_real"] is True
 
 
+def test_weil_bound_at_the_input_limit(tmp_path, capsys):
+    """A trace with 512-bit coordinates, the largest a document may give, far
+    past 2 sqrt(p): its float moduli overflowed."""
+    big = 2**512 - 1
+    doc = {"E_generators": [-1], "entries": [{"p": 5, "a_p": {"a": big, "b": big, "d": -1}}]}
+    code, report = run(capsys, "traces", write(tmp_path, "t.json", doc))
+    assert code == 1
+    assert report["entries"] == [{"p": 5, "conjugation_ok": False}]
+    assert [c["weil_bound_ok"] for c in report["charpoly"]] == [False]
+    assert report["charpoly"][0]["trace"] == {"a": f"{big}/1", "b": f"{big}/1", "d": -1}
+
+
 def test_traces_failure_exits_one(tmp_path, capsys):
     doc = traces_doc()
     doc["entries"][0]["a_p"] = {"a": "1/1", "b": "2/1", "d": -1}
@@ -402,6 +414,21 @@ def group_element(entry):
     return "validate-cocycle", doc
 
 
+def epsilon_key_twice():
+    """Two keys that int() reads as 3: the last one used to win, leaving the
+    trivial character modulo 4."""
+    doc = traces_doc()
+    doc["epsilon"] = {"modulus": 4, "values": {"1": "0/1", "3": "1/2", " 3": "0/1"}}
+    return "traces", doc
+
+
+def radical_key_twice():
+    """Two keys that int() reads as 3: the last one used to win, giving 3^1."""
+    doc = construct_doc(2, 2)
+    doc["cocycle"][0][2] = {"torsion": "0/1", "exponents": {"3": "1/2", " 3": "1/1"}}
+    return "construct", doc
+
+
 MALFORMED = {
     "epsilon_values_list": epsilon_values_as_list,
     "radical_exponents_list": radical_exponents_as_list,
@@ -428,6 +455,8 @@ MALFORMED = {
     "descriptor_n_bool": lambda: descriptor(n=True),
     "descriptor_n_string": lambda: descriptor(n="1"),
     "descriptor_dimension_float": lambda: descriptor(abelian_variety_dim=1.0),
+    "epsilon_key_twice": epsilon_key_twice,
+    "radical_key_twice": radical_key_twice,
 }
 
 

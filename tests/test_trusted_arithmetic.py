@@ -1,13 +1,12 @@
 """Quadratic arithmetic results against the public constructor.
 
 Results of + - * /, negation and conjugation are built without the public
-constructor's checks.  Each must equal, as a dataclass (a, b and d, with
-d = 1 for a rational result), the element the public constructor builds from
-the coordinates of the textbook formulas, also when the result turns
-rational.
+constructor's checks.  Each must equal the element the public constructor
+builds from the coordinates of the textbook formulas, also when the result
+turns rational: the same integer coordinates (x, y, n, d), with d = 1 for a
+rational result, the same rational coordinates a, b and the same hash.
 """
 
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -51,9 +50,11 @@ def quotient(x, y) -> tuple:
 
 
 def assert_public(result, coordinates):
-    """result equals, field by field, the public constructor's element."""
+    """result equals, coordinate by coordinate, the public constructor's element."""
     expected = QuadraticElement(*coordinates)
-    assert astuple(result) == astuple(expected)
+    integers = (expected.x, expected.y, expected.n, expected.d)
+    assert (result.x, result.y, result.n, result.d) == integers
+    assert (result.a, result.b, result.d) == (expected.a, expected.b, expected.d)
     assert type(result.a) is Fraction and type(result.b) is Fraction
     assert result == expected and hash(result) == hash(expected)
     assert (result.d == 1) == (result.b == 0)
