@@ -11,13 +11,17 @@ The splitting is constructive and canonical: on a cyclic factor of order n
 generated by s, the product P = prod_{i<n} c(s, s^i) determines the value at
 the generator as the canonical n-th root of P, the remaining values follow by
 telescoping, and factors are combined by peeling coordinates against the
-cocycle itself.  The splitting is built first and its coboundary compared
-with the cocycle, which is O(|G|^2); a coboundary is always a cocycle, so
-only on a mismatch does the O(|G|^3) identity scan run, to tell an invalid
-table (its first failing triple) from an obstructed one (its nontrivial
-pairing).  A cocycle keeps the result of its first scan and of its first
-splitting attempt.  Whether it splits over the rationals is a closed-form
-test on its canonical splitting, not a search over character twists.
+cocycle itself.  The coboundary of any cochain on an abelian group is
+symmetric, so only a symmetric table is given a splitting: it is built and
+its coboundary compared with the cocycle, which is O(|G|^2), and a
+coboundary is always a cocycle, so only on a mismatch does the O(|G|^3)
+identity scan run.  A non-symmetric table never splits and builds no
+cochain: the scan tells an invalid table (its first failing triple) from an
+obstructed one, whose pairing is nontrivial, and the pairing divides once
+per distinct pair of value objects.  A cocycle keeps the result of its first
+scan and of its first splitting attempt.  Whether it splits over the
+rationals is a closed-form test on its canonical splitting, not a search
+over character twists.
 
 Both checks run on plain Python ints, not on radicals: the values are mapped
 once to their integer log coordinates (``radicals.log_coordinates``), where
@@ -176,7 +180,12 @@ class TwoCocycle:
 
     @property
     def is_symmetric(self) -> bool:
-        return all(self._values[(g, h)] == self._values[(h, g)] for g, h in self._values)
+        values = self._values
+        for (g, h), v in values.items():
+            w = values[(h, g)]
+            if v is not w and v != w:
+                return False
+        return True
 
     @property
     def is_rational_valued(self) -> bool:
@@ -194,9 +203,22 @@ class TwoCocycle:
         return TwoCocycle(self.group, {key: v**k for key, v in self._values.items()})
 
     def commutator_pairing(self) -> "CommutatorPairing":
-        table = {
-            (g, h): self._values[(g, h)] / self._values[(h, g)] for (g, h) in self._values
-        }
+        """The pairing (g, h) -> c(g, h)/c(h, g), with one division per
+        distinct pair of value objects: parsed tables share one object per
+        distinct value, so there are few such pairs."""
+        values = self._values
+        quotients: dict[tuple[int, int], RadicalElement] = {}
+        table = {}
+        for (g, h), v in values.items():
+            w = values[(h, g)]
+            if v is w:
+                table[(g, h)] = _ONE
+                continue
+            key = (id(v), id(w))
+            q = quotients.get(key)
+            if q is None:
+                q = quotients[key] = v / w
+            table[(g, h)] = q
         return CommutatorPairing(self.group, table)
 
     def __eq__(self, other):
@@ -251,8 +273,11 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
     it) is deterministic.  Coefficient divisibility makes the construction
     complete: verification can only fail when the pairing is nontrivial, or
     when c is not a cocycle at all, which raises InvalidCocycle naming the
-    first failing triple.  The table is immutable, so a split or obstructed
-    result is kept on the cocycle and later calls read it.
+    first failing triple.  Symmetry is tested first: a coboundary
+    a(g) a(h) / a(gh) is symmetric in g and h, so a non-symmetric table can
+    never split, and it goes straight to the identity scan and the pairing
+    without building a cochain.  The table is immutable, so a split or
+    obstructed result is kept on the cocycle and later calls read it.
     """
     if c._split is _UNSCANNED:
         c._split = _attempt_split(c)
@@ -260,16 +285,18 @@ def split_cocycle(c: TwoCocycle) -> SplitResult:
 
 
 def _attempt_split(c: TwoCocycle) -> SplitResult:
-    cochain = _canonical_cochain(c)
-    if cochain.splits(c):
-        return SplitResult(cochain, None)
+    symmetric = c.is_symmetric
+    if symmetric:
+        cochain = _canonical_cochain(c)
+        if cochain.splits(c):
+            return SplitResult(cochain, None)
     violation = c.violation()
     if violation is not None:
         raise InvalidCocycle(f"cocycle identity fails at {violation}")
-    pairing = c.commutator_pairing()
-    if pairing.is_trivial:
+    if symmetric:
         raise InvalidCocycle("symmetric cocycle failed to split (internal error)")
-    return SplitResult(None, pairing)
+    # a non-symmetric table has c(g, h) != c(h, g) somewhere: a nontrivial pairing
+    return SplitResult(None, c.commutator_pairing())
 
 
 def _canonical_cochain(c: TwoCocycle) -> OneCochain:

@@ -123,7 +123,11 @@ def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
     if not isinstance(obj, list):
         raise ParseError('"cocycle" must be a list of [g, h, value] triples')
     table = {}
-    rationals: dict = {}  # each distinct rational value is factored once per document
+    # each distinct rational value is factored once per document, and each
+    # distinct spelling parsed once; the type is part of the spelling's key,
+    # since True == 1 and hashes alike but is refused where 1 is read
+    rationals: dict = {}
+    spellings: dict = {}
     for triple in obj:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise ParseError(f"bad cocycle triple {triple!r}")
@@ -131,10 +135,14 @@ def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
         h = element_from_json(triple[1], group)
         raw = triple[2]
         if isinstance(raw, (int, str)):
-            q = parse_fraction(raw)
-            if q not in rationals:
-                rationals[q] = RadicalElement.from_rational(q)
-            table[(g, h)] = rationals[q]
+            spelling = (type(raw), raw)
+            value = spellings.get(spelling)
+            if value is None:
+                q = parse_fraction(raw)
+                if q not in rationals:
+                    rationals[q] = RadicalElement.from_rational(q)
+                value = spellings[spelling] = rationals[q]
+            table[(g, h)] = value
         else:
             table[(g, h)] = radical_from_json(raw)
     return TwoCocycle(group, table)

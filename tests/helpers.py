@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,7 +26,7 @@ from qcurves import (
     TwoCocycle,
 )
 from qcurves.arith import squarefree_part
-from qcurves.cohomology import CommutatorPairing, split_cocycle
+from qcurves.cohomology import CommutatorPairing, SplitResult, _canonical_cochain, split_cocycle
 from qcurves.descent import (
     BlockMap,
     DescentDatum,
@@ -33,7 +34,7 @@ from qcurves.descent import (
     build_restriction,
     compatibility_violation,
 )
-from qcurves.errors import CompatibilityRequired, ValueOutsideField
+from qcurves.errors import CompatibilityRequired, InvalidCocycle, ValueOutsideField
 from qcurves.linalg import (
     Matrix,
     Vector,
@@ -48,6 +49,36 @@ from qcurves.linalg import (
 from qcurves.radicals import RadicalElement
 
 PRIMES = (2, 3, 5)
+
+
+def counting(monkeypatch, cls, name):
+    """Count calls of a method."""
+    counter = {"n": 0}
+    original = getattr(cls, name)
+
+    def wrapper(self, *args):
+        counter["n"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return counter
+
+
+def counting_function(monkeypatch, original):
+    """Count calls of a module-level function through every binding of it in
+    the package."""
+    counter = {"n": 0}
+
+    def wrapper(*args):
+        counter["n"] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qcurves" or name.startswith("qcurves."):
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, wrapper)
+    return counter
 
 
 def complex_value(x: RadicalElement) -> complex:
@@ -133,7 +164,8 @@ def mu8_sqrt2_pool() -> list[RadicalElement]:
 
 
 # ---------------------------------------------------------------------------
-# Cocycle-identity oracle: the scan by radical arithmetic
+# Cocycle oracles: the identity scan by radical arithmetic, and the split
+# without the symmetry test
 # ---------------------------------------------------------------------------
 
 
@@ -149,6 +181,22 @@ def radical_scan(c: TwoCocycle):
                 if c(g, h) * c(gh, k) != c(h, k) * c(g, add(h, k)):
                     return (g, h, k)
     return None
+
+
+def split_oracle(c: TwoCocycle) -> SplitResult:
+    """split_cocycle without the symmetry test: the canonical cochain is
+    built and checked on every table, and the obstruction is the pairing by
+    one radical division for each of the |G|^2 pairs."""
+    cochain = _canonical_cochain(c)
+    if cochain.splits(c):
+        return SplitResult(cochain, None)
+    violation = c.violation()
+    if violation is not None:
+        raise InvalidCocycle(f"cocycle identity fails at {violation}")
+    pairing = CommutatorPairing(c.group, {(g, h): c(g, h) / c(h, g) for g, h in c.values()})
+    if pairing.is_trivial:
+        raise InvalidCocycle("symmetric cocycle failed to split (internal error)")
+    return SplitResult(None, pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,33 @@ def test_split_obstructed(tmp_path, capsys):
     assert report["obstruction"]
 
 
+@pytest.mark.parametrize("first, second", [(1, True), (True, 1)])
+def test_split_refuses_true_beside_one(first, second, tmp_path, capsys):
+    """True == 1 and both hash alike: a value read once per spelling must
+    still refuse true, whichever of the two comes first."""
+    doc = {"cyclic_orders": [2, 2], "values": [[[0, 1], [1, 0], first], [[1, 0], [0, 1], second]]}
+    code, report = run(capsys, "split", write(tmp_path, "c.json", doc))
+    assert code == 2
+    assert list(report) == ["error"]
+
+
+def test_split_reads_every_spelling_of_a_value_alike(tmp_path, capsys):
+    """The coboundary of a(g) = 2 (g != 0) on Z/2 x Z/2: c(g, h) = 2 for
+    distinct nonzero g, h and 4 on the diagonal."""
+    nonzero = [[0, 1], [1, 0], [1, 1]]
+    pairs = [(g, h) for g in nonzero for h in nonzero if g != h]
+
+    def report(spellings):
+        values = [[g, h, q] for (g, h), q in zip(pairs, spellings)]
+        values += [[g, g, "4/1"] for g in nonzero]
+        main(["split", write(tmp_path, "c.json", {"cyclic_orders": [2, 2], "values": values})])
+        return capsys.readouterr().out
+
+    mixed = report([2, "2", "2/1", "4/2", "2/1", "2/1"])
+    assert mixed == report(["2/1"] * 6)
+    assert json.loads(mixed)["split"] is True
+
+
 # -- algebra -----------------------------------------------------------------------
 
 

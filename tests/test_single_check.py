@@ -9,7 +9,6 @@ on generators only and runs no block algebra.
 
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,38 +29,9 @@ from qcurves.errors import CompatibilityRequired
 from qcurves.pipeline import QCurveDatum
 from qcurves.radicals import RadicalElement
 
-from helpers import random_descent_datum
+from helpers import counting, counting_function, random_descent_datum
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def counting(monkeypatch, cls, name):
-    counter = {"n": 0}
-    original = getattr(cls, name)
-
-    def wrapper(self, *args):
-        counter["n"] += 1
-        return original(self, *args)
-
-    monkeypatch.setattr(cls, name, wrapper)
-    return counter
-
-
-def counting_function(monkeypatch, original):
-    """Count calls of a module-level function through every binding of it in
-    the package."""
-    counter = {"n": 0}
-
-    def wrapper(*args):
-        counter["n"] += 1
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "qcurves" or name.startswith("qcurves."):
-            for binding, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, binding, wrapper)
-    return counter
 
 
 def golden_doc(case):

@@ -1,16 +1,21 @@
 """The O(|G|^3) cocycle-identity scan runs once per cocycle, and only where needed.
 
-A ``TwoCocycle`` keeps the result of its first scan; ``split_cocycle`` tries
-the canonical splitting first and scans only when it fails.  Invalid input
-is still rejected by every public entry point with the same exception and
-the same first failing triple.
+A ``TwoCocycle`` keeps the result of its first scan.  ``split_cocycle``
+tests symmetry first: a symmetric table gets the canonical splitting and is
+scanned only when that fails, and a non-symmetric one, which can never
+split, is scanned without building a cochain.  Its pairing divides once per
+distinct pair of values, and parsing reads each distinct spelling of a value
+once.  Invalid input is still rejected by every public entry point with the
+same exception and the same first failing triple.
 """
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from qcurves import cohomology, serialize
 from qcurves.algebra import TwistedGroupAlgebra
 from qcurves.cli import main
 from qcurves.cohomology import TwoCocycle, split_cocycle
@@ -19,7 +24,7 @@ from qcurves.groups import FiniteAbelianGroup
 from qcurves.pipeline import QCurveDatum, brauer_order, construct_gl2_type
 from qcurves.radicals import RadicalElement
 
-from helpers import klein_alternating_cocycle, random_cochain
+from helpers import counting, counting_function, klein_alternating_cocycle, random_cochain
 
 GOLDEN = Path(__file__).parent / "golden"
 Z4 = FiniteAbelianGroup((4,))
@@ -28,15 +33,7 @@ Z4 = FiniteAbelianGroup((4,))
 @pytest.fixture
 def scans(monkeypatch):
     """Count the full identity scans of every TwoCocycle."""
-    counter = {"n": 0}
-    original = TwoCocycle._scan
-
-    def counting(self):
-        counter["n"] += 1
-        return original(self)
-
-    monkeypatch.setattr(TwoCocycle, "_scan", counting)
-    return counter
+    return counting(monkeypatch, TwoCocycle, "_scan")
 
 
 def invalid_cocycle() -> TwoCocycle:
@@ -65,18 +62,68 @@ def test_split_and_algebra_cli_scan_once(command, case, scans, capsys):
     assert scans["n"] == 1
 
 
-def test_split_of_a_valid_splittable_cocycle_does_not_scan(scans):
+def test_split_of_a_valid_splittable_cocycle_does_not_scan(scans, monkeypatch):
+    builds = counting_function(monkeypatch, cohomology._canonical_cochain)
     rng = random.Random(5)
     for orders in ((2,), (4,), (2, 2), (4, 2)):
         c = random_cochain(rng, FiniteAbelianGroup(orders)).coboundary()
         assert split_cocycle(c).split
     assert scans["n"] == 0
+    assert builds["n"] == 4
 
 
-def test_split_of_an_obstructed_cocycle_scans_once(scans):
+def test_split_of_an_obstructed_cocycle_scans_once(scans, monkeypatch):
+    builds = counting_function(monkeypatch, cohomology._canonical_cochain)
     result = split_cocycle(klein_alternating_cocycle())
     assert not result.split
     assert scans["n"] == 1
+    assert builds["n"] == 0
+
+
+def test_obstructed_split_cli_builds_no_cochain(scans, monkeypatch, capsys):
+    builds = counting_function(monkeypatch, cohomology._canonical_cochain)
+    assert main(["split", str(GOLDEN / "split_obstructed.json")]) == 1
+    capsys.readouterr()
+    assert (scans["n"], builds["n"]) == (1, 0)
+
+
+def sign_document(orders) -> dict:
+    """The cocycle (g, h) -> (-1)^(g_0 h_1), written with "-1" entries only:
+    |G|^2 / 2 pairs with c(g, h) != c(h, g), and two distinct value pairs."""
+    group = FiniteAbelianGroup(orders)
+    elements = group.elements()
+    values = [[list(g), list(h), "-1"] for g in elements for h in elements if g[0] * h[1] % 2]
+    return {"cyclic_orders": list(orders), "values": values}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [json.loads((GOLDEN / "split_obstructed.json").read_text()), sign_document((2, 2, 2, 2))],
+    ids=["split_obstructed", "sign_2x2x2x2"],
+)
+def test_pairing_divides_once_per_distinct_value_pair(doc, monkeypatch):
+    group = serialize.group_from_json(doc["cyclic_orders"])
+    c = serialize.cocycle_from_json(doc, group)
+    pairs = {(c(g, h), c(h, g)) for g, h in c.values()}
+    divisions = counting(monkeypatch, RadicalElement, "__truediv__")
+    result = split_cocycle(c)
+    assert not result.split
+    assert 0 < divisions["n"] <= len({(v, w) for v, w in pairs if v != w})
+
+
+@pytest.mark.parametrize(
+    "spellings", [["3/1"], ["3/1", 3, "3", "6/2"], ["-1/1", "2", 5, "7/3", "1/1"]]
+)
+def test_cocycle_parses_each_spelling_once(spellings, monkeypatch):
+    group = FiniteAbelianGroup((4, 2))
+    elements = group.elements()
+    triples = [
+        [list(g), list(h), spellings[i % len(spellings)]]
+        for i, (g, h) in enumerate((g, h) for g in elements for h in elements)
+    ]
+    parses = counting_function(monkeypatch, serialize.parse_fraction)
+    serialize.cocycle_from_json(triples, group)
+    assert parses["n"] == len(spellings)
 
 
 def test_repeated_violation_calls_scan_once(scans):
