@@ -48,9 +48,22 @@ EXIT_DOMAIN_FAILURE = 1
 EXIT_BAD_INPUT = 2
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it repeats a key: json keeps the last of
+    two equal keys, which would silently drop the first value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"object key {key!r} is repeated")
+            seen.add(key)
+    return obj
+
+
 def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _emit(report: dict, args) -> None:

@@ -131,11 +131,16 @@ class TwoCocycle:
         self.group = group
         elements = group.elements()
         scale = values.get((group.identity, group.identity), _ONE)
-        table = {}
-        for g in elements:
-            for h in elements:
-                v = values.get((g, h), _ONE)
-                table[(g, h)] = v if scale.is_one else v / scale
+        table = {(g, h): values.get((g, h), _ONE) for g in elements for h in elements}
+        if not scale.is_one:
+            # one division per distinct value object, so values that share an
+            # object (as parsed tables do) still share their quotient
+            quotients = {}
+            for key, v in table.items():
+                q = quotients.get(id(v))
+                if q is None:
+                    q = quotients[id(v)] = v / scale
+                table[key] = q
         self._values = table
         self._violation = _UNSCANNED
         self._split = _UNSCANNED

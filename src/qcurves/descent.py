@@ -29,6 +29,14 @@ The identity itself is checked on generators: mu(s + e_i) = mu(s) mu(e_i)
 for every s and every cyclic generator e_i, with mu(0) = I, gives
 mu(s + t) = mu(s) mu(t) by induction on t as a word in the generators.
 
+Every check runs on integers.  Each mu(g) is held as M_g / D_g, integer rows
+over a common denominator (``linalg.ScaledMatrix``; the least one when read
+from JSON), so mu(g) is
+invertible iff det M_g != 0 (a fraction-free Bareiss elimination),
+mu(0) = I iff M_0 = D_0 I, and mu(s) mu(t) = mu(st) iff
+M_s M_t D_st = M_st D_s D_t, all in plain ints.  The matrices as Fractions
+are built only for the block maps and for callers that read ``mu``.
+
 The equivariance computation compares, slot by slot, the two ways around the
 square formed by the comparison map from the plain product (the map sending
 the s-th copy to the s^{-1}-conjugate factor via the conjugated isogeny) and
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from . import linalg
@@ -141,44 +150,69 @@ class BlockMap:
 
 
 class DescentDatum:
-    """Group, block rank, and one invertible matrix per element (mu(1) = id)."""
+    """Group, block rank, and one invertible matrix per element (mu(1) = id).
 
-    def __init__(self, group: FiniteAbelianGroup, block_rank: int, mu: Mapping[Element, linalg.Matrix]):
+    Each matrix is kept as a ``linalg.ScaledMatrix`` (integer rows over one
+    common denominator, not necessarily the least), taken as it is or built
+    from any rows that ``linalg.matrix`` reads.  Invertibility, mu(1) = id
+    (M = D I) and the compatibility identity are all decided on those ints; ``mu``, the matrices as Fractions,
+    is built on first read.
+    """
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        block_rank: int,
+        mu: Mapping[Element, Union[linalg.Matrix, linalg.ScaledMatrix]],
+    ):
         self.group = group
-        self.block_rank = int(block_rank)
-        table = {}
+        self.block_rank = n = int(block_rank)
+        matrices = []
         for g in group.elements():
             if g not in mu:
                 raise ValueError(f"no isogeny matrix assigned at {g}")
-            m = linalg.matrix(mu[g])
-            if len(m) != self.block_rank or any(len(row) != self.block_rank for row in m):
-                raise ValueError(f"matrix at {g} is not {self.block_rank} x {self.block_rank}")
-            if not linalg.is_invertible(m):
+            m = mu[g]
+            if type(m) is not linalg.ScaledMatrix:
+                m = linalg.scaled(linalg.matrix(m))
+            if len(m.rows) != n or any(len(row) != n for row in m.rows):
+                raise ValueError(f"matrix at {g} is not {n} x {n}")
+            if not m.rows or not linalg.determinant(m.rows):
                 raise ValueError(f"matrix at {g} is not invertible")
-            table[g] = m
-        if table[group.identity] != linalg.identity(self.block_rank):
+            matrices.append(m)
+        m = matrices[0]
+        if any(x != m.den * (i == j) for i, row in enumerate(m.rows) for j, x in enumerate(row)):
             raise ValueError("the identity element must carry the identity matrix")
-        self.mu = table
+        self._matrices = matrices
         self._violation = _UNSCANNED
+
+    @cached_property
+    def mu(self) -> dict[Element, linalg.Matrix]:
+        """The matrices as Fractions, keyed by group element."""
+        return {g: m.fractions() for g, m in zip(self.group.elements(), self._matrices)}
 
     def _scan(self) -> Optional[tuple[Element, Element]]:
         # mu(s + e_i) = mu(s) mu(e_i) for every s and generator e_i, with
         # mu(0) = I, implies the identity on every pair (module docstring);
         # only a failure pays for the pair scan that names the first pair
-        group, mu = self.group, self.mu
-        generators = [group.generator(i) for i in range(len(group.cyclic_orders))]
+        group, mats = self.group, self._matrices
         elements = group.elements()
+        add = group.addition_table()
+        generators = [elements.index(group.generator(i)) for i in range(len(group.cyclic_orders))]
         if all(
-            linalg.mat_mul(mu[s], mu[e]) == mu[group.add(s, e)]
+            linalg.composes(mats[s], mats[e], mats[add[s][e]])
             for e in generators
-            for s in elements
+            for s in range(len(elements))
         ):
             return None
-        for s in elements:
-            for t in elements:
-                if linalg.mat_mul(mu[s], mu[t]) != mu[group.add(s, t)]:
-                    return (s, t)
-        return None
+        return next(
+            (
+                (elements[s], elements[t])
+                for s, row in enumerate(add)
+                for t, st in enumerate(row)
+                if not linalg.composes(mats[s], mats[t], mats[st])
+            ),
+            None,
+        )
 
     def product(self) -> FactorProduct:
         return FactorProduct.of_group(self.group, self.block_rank)

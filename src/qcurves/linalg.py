@@ -3,12 +3,23 @@
 Matrices are tuples of tuples of Fraction; everything is immutable and pure.
 Sizes in this package are tiny (block matrices over small Galois groups), so
 plain Gaussian elimination with exact pivoting is the right tool.
+
+Descent data travel as ``ScaledMatrix``: integer rows over one positive
+common denominator, in lowest terms, so two rational matrices are equal
+exactly when their scaled forms are.  On that form invertibility and the
+compatibility identity are decided in plain ints, with no Fraction built:
+``determinant`` is Bareiss's fraction-free elimination (E. Bareiss,
+*Math. Comp.* 22, 1968), whose divisions are all exact and whose
+intermediates are minors of the input, and ``composes`` tests a b = c by
+cross-multiplying the denominators.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -65,10 +76,6 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     """One solution of A x = b, or None when inconsistent."""
     if not a:
@@ -84,6 +91,65 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
-def is_invertible(a: Matrix) -> bool:
-    return bool(a) and len(a) == len(a[0]) and rank(a) == len(a)
+# -- integer rows over one common denominator ---------------------------------
 
+
+class ScaledMatrix(NamedTuple):
+    """The rational matrix rows / den, with den > 0.  ``over_common_denominator``
+    and ``scaled`` make den the least common denominator of the entries."""
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    def fractions(self) -> Matrix:
+        den = self.den
+        return tuple(tuple(Fraction(k, den) for k in row) for row in self.rows)
+
+
+def over_common_denominator(rows: Iterable[Iterable[tuple[int, int]]]) -> ScaledMatrix:
+    """Rows of (numerator, denominator) pairs, each in lowest terms with a
+    positive denominator, as one ScaledMatrix."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(d for row in rows for _, d in row))
+    return ScaledMatrix(tuple(tuple(k * (den // d) for k, d in row) for row in rows), den)
+
+
+def scaled(a: Matrix) -> ScaledMatrix:
+    """The Fraction matrix a as a ScaledMatrix."""
+    return over_common_denominator(((x.numerator, x.denominator) for x in row) for row in a)
+
+
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss's elimination: after
+    step k every entry is a (k+1) x (k+1) minor, so each division by the
+    previous pivot is exact."""
+    rows = [list(r) for r in a]
+    n = len(rows)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1] if rows else 1
+
+
+def composes(a: ScaledMatrix, b: ScaledMatrix, c: ScaledMatrix) -> bool:
+    """Whether a b = c as rational matrices: (A B) den_c = C den_a den_b in
+    ints, entry by entry, stopping at the first difference."""
+    cols = tuple(zip(*b.rows))
+    left, right = c.den, a.den * b.den
+    return all(
+        sum(map(mul, row, col)) * left == z * right
+        for row, c_row in zip(a.rows, c.rows)
+        for col, z in zip(cols, c_row)
+    )

@@ -6,13 +6,15 @@ integers.  Radicals are objects with a "torsion" fraction and an "exponents"
 object keyed by decimal prime strings; quadratic field elements are objects
 {"a", "b", "d"} meaning a + b*sqrt(d).  An object key that names an integer
 (a prime, a character residue) must be written in canonical decimal form.
+A group has at most ``MAX_GROUP_ORDER`` = 256 elements and a descent matrix
+at most ``MAX_BLOCK_RANK`` = 16 rows; a larger one raises ``InputLimit``
+(exit 2), naming the limit, before any element is enumerated.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 from typing import Any
 
 from .algebra import EndAlgebraDescriptor
@@ -21,10 +23,18 @@ from .cohomology import OneCochain, TwoCocycle
 from .errors import InputLimit
 from .fields import MultiquadraticField, QuadraticElement
 from .groups import Element, FiniteAbelianGroup
+from .linalg import ScaledMatrix, over_common_denominator
 from .pipeline import FrobeniusAssignment, FrobeniusEntry, QCurveDatum
 from .radicals import RadicalElement
 from .traces import DirichletCharacterData, TraceEntry, TraceTable
 from . import descent
+
+
+# Documented size limits, checked before anything is enumerated or allocated;
+# past either, parsing raises InputLimit.  Every golden and benchmark document
+# lies far below them (|G| <= 32, block rank <= 3).
+MAX_GROUP_ORDER = 256
+MAX_BLOCK_RANK = 16
 
 
 class ParseError(ValueError):
@@ -111,9 +121,17 @@ def group_from_json(obj: Any) -> FiniteAbelianGroup:
     if not isinstance(obj, list) or not all(_is_int(n) for n in obj):
         raise ParseError('"cyclic_orders" must be a list of integers')
     try:
-        return FiniteAbelianGroup(tuple(obj))
+        group = FiniteAbelianGroup(tuple(obj))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    # every order is at least 2, so the product passes the limit within
+    # log2(MAX_GROUP_ORDER) + 1 factors, however long the list
+    order = 1
+    for n in group.cyclic_orders:
+        order *= n
+        if order > MAX_GROUP_ORDER:
+            raise InputLimit(f"the group order is past the input limit of {MAX_GROUP_ORDER}")
+    return group
 
 
 def cocycle_from_json(obj: Any, group: FiniteAbelianGroup) -> TwoCocycle:
@@ -261,8 +279,9 @@ def frobenius_assignment_from_json(obj: Any, group: FiniteAbelianGroup) -> Frobe
 # -- descent documents --------------------------------------------------------
 
 
-def matrix_from_json(obj: Any, n: int) -> list[list[Fraction]]:
-    """Rows of Fractions; ``DescentDatum`` makes them its exact matrices."""
+def matrix_from_json(obj: Any, n: int) -> ScaledMatrix:
+    """An n x n rational matrix as integer rows over one common denominator,
+    each entry read by ``parse_ratio``; no Fraction is built."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"expected an {n} x {n} matrix")
     rows = []
@@ -270,10 +289,10 @@ def matrix_from_json(obj: Any, n: int) -> list[list[Fraction]]:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"expected an {n} x {n} matrix")
         try:
-            rows.append([parse_fraction(x) for x in row])
+            rows.append([parse_ratio(x) for x in row])
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return rows
+    return over_common_denominator(rows)
 
 
 def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
@@ -283,6 +302,8 @@ def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
     block_rank = obj.get("block_rank")
     if not _is_int(block_rank) or block_rank < 1:
         raise ParseError('"block_rank" must be a positive integer')
+    if block_rank > MAX_BLOCK_RANK:
+        raise InputLimit(f"the block rank is past the input limit of {MAX_BLOCK_RANK}")
     raw_mu = obj.get("mu")
     if not isinstance(raw_mu, list):
         raise ParseError('"mu" must be a list of [g, matrix] pairs')

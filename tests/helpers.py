@@ -39,16 +39,23 @@ from qcurves.linalg import (
     Matrix,
     Vector,
     identity,
-    is_invertible,
     mat_mul,
     matrix,
-    rank,
     rref,
     solve,
 )
 from qcurves.radicals import RadicalElement
 
 PRIMES = (2, 3, 5)
+
+
+def shapes(limit: int, prefix=()) -> list[tuple[int, ...]]:
+    """Every tuple of cyclic orders >= 2 whose product is at most limit."""
+    out = []
+    for n in range(2, limit + 1):
+        out.append(prefix + (n,))
+        out.extend(shapes(limit // n, prefix + (n,)))
+    return out
 
 
 def counting(monkeypatch, cls, name):
@@ -298,6 +305,15 @@ def character_check_oracle(modulus: int, values: dict, value_at_minus_one=None):
 # ---------------------------------------------------------------------------
 
 
+def rank(a: Matrix) -> int:
+    """Rank by Fraction row reduction: the oracle of ``linalg.determinant``."""
+    return len(rref(a)[1])
+
+
+def is_invertible(a: Matrix) -> bool:
+    return bool(a) and len(a) == len(a[0]) and rank(a) == len(a)
+
+
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel."""
     if not a:
@@ -414,6 +430,17 @@ ORDER_SEEDS = {
     (4, 3): [[[0, -1, 0], [1, 0, 0], [0, 0, -1]]],
     (6, 2): [[[1, -1], [1, 0]]],
     (6, 3): [[[1, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, -1, 0], [1, 0, 0], [0, 0, -1]]],
+    # size 4: a sign and a swap, permutations, and the companion matrices of
+    # the cyclotomic polynomials of degree 4 (orders 5, 8, 10 and 12)
+    (2, 4): [[[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]],
+    (3, 4): [[[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]],
+    (4, 4): [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]],
+    (5, 4): [[[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]],
+    (6, 4): [[[1, -1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]],
+    (8, 4): [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]],
+    (10, 4): [[[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, 1]]],
+    (12, 4): [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]],
 }
 
 

@@ -499,6 +499,63 @@ def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
     assert list(report) == ["error"]
 
 
+# (command, document with one key twice, that key, the document with the
+# repeat removed, its exit code)
+REPEATED_KEYS = {
+    # read as plain json, the second "3" wins and leaves the trivial
+    # character modulo 4, where the first makes it odd
+    "epsilon_value": (
+        "traces",
+        '{"E_generators": [-1], "entries": [], "epsilon": {"modulus": 4,'
+        ' "values": {"1": "0/1", "3": "1/2", "3": "0/1"}}}',
+        "3",
+        '{"E_generators": [-1], "entries": [], "epsilon": {"modulus": 4,'
+        ' "values": {"1": "0/1", "3": "1/2"}}}',
+        1,
+    ),
+    "top_level": (
+        "descent",
+        '{"cyclic_orders": [2], "block_rank": 2, "block_rank": 1,'
+        ' "mu": [[[0], [[1]]], [[1], [[-1]]]]}',
+        "block_rank",
+        '{"cyclic_orders": [2], "block_rank": 1, "mu": [[[0], [[1]]], [[1], [[-1]]]]}',
+        0,
+    ),
+    "radical_exponent": (
+        "validate-cocycle",
+        '{"cyclic_orders": [2], "values": [[[1], [1],'
+        ' {"torsion": "0/1", "exponents": {"2": "1/2", "2": "1/1"}}]]}',
+        "2",
+        '{"cyclic_orders": [2], "values": [[[1], [1],'
+        ' {"torsion": "0/1", "exponents": {"2": "1/2"}}]]}',
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_object_key_is_refused(case, tmp_path, capsys):
+    command, text, key, single, single_code = REPEATED_KEYS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    args = build_parser().parse_args([command, str(path)])
+    with pytest.raises(ParseError):
+        args.func(args)
+    code, report = run(capsys, command, str(path))
+    assert code == 2
+    assert report == {"error": f"object key {key!r} is repeated"}
+    path.write_text(single)
+    assert run(capsys, command, str(path))[0] == single_code
+
+
+@pytest.mark.parametrize("orders", [[10**12], [257], [2] * 9])
+def test_group_past_the_order_limit_exits_2(orders, tmp_path, capsys):
+    path = write(tmp_path, "doc.json", {"cyclic_orders": orders, "values": []})
+    code, report = run(capsys, "validate-cocycle", path)
+    assert code == 2
+    assert report == {"error": "the group order is past the input limit of 256"}
+
+
 @pytest.mark.parametrize("element", [[7], [-1], [1, 0], []])
 def test_out_of_range_element_keeps_its_message(element, tmp_path, capsys):
     doc = {"cyclic_orders": [4], "values": [[element, [1], "1/1"]]}

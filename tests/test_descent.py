@@ -24,9 +24,11 @@ from helpers import (
     compatibility_pair_scan,
     dense,
     eta_oracle,
+    is_invertible,
     mat_scale,
     product_action,
     random_descent_datum,
+    rank,
     scale_block_map,
 )
 
@@ -235,7 +237,7 @@ def perturbed_data(draw):
     else:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         m[i][j] += draw(st.sampled_from((-2, -1, 1, Fraction(1, 3))))
-    assume(linalg.is_invertible(linalg.matrix(m)))
+    assume(is_invertible(linalg.matrix(m)))
     return DescentDatum(group, n, {**datum.mu, g: m})
 
 
@@ -312,4 +314,4 @@ def test_single_slot_orbit_spans():
             moved = action[g].compose(base)
             col = [moved.block(t, start)[0][0] for t in Z2.elements()]
             orbit_rows.append(tuple(col))
-        assert linalg.rank(tuple(orbit_rows)) == Z2.order
+        assert rank(tuple(orbit_rows)) == Z2.order

@@ -106,6 +106,40 @@ def test_descent_datum_shape_errors():
         )
 
 
+# -- size limits, each tested at its boundary only ----------------------------------
+
+
+@pytest.mark.parametrize("orders", [[256], [2] * 8, [4, 4, 16], [16, 16]], ids=str)
+def test_group_at_the_order_limit_is_accepted(orders):
+    assert serialize.group_from_json(orders).order == serialize.MAX_GROUP_ORDER
+
+
+@pytest.mark.parametrize(
+    "orders", [[257], [2] * 9, [2] * 10**5, [129, 2], [10**12], [2, 10**4000]], ids=str
+)
+def test_group_past_the_order_limit_is_refused_unenumerated(orders, monkeypatch):
+    def enumerate_elements(self):
+        raise AssertionError("elements enumerated")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "elements", enumerate_elements)
+    with pytest.raises(InputLimit, match="past the input limit of 256"):
+        serialize.group_from_json(orders)
+
+
+def test_block_rank_at_the_limit_is_accepted():
+    eye = [[int(i == j) for j in range(16)] for i in range(16)]
+    doc = {"cyclic_orders": [], "block_rank": 16, "mu": [[[], eye]]}
+    assert serialize.descent_datum_from_json(doc).block_rank == serialize.MAX_BLOCK_RANK
+
+
+@pytest.mark.parametrize("block_rank", [17, 10**12])
+def test_block_rank_past_the_limit_is_refused_before_the_matrices(block_rank):
+    # "mu" would be refused too, but the rank is checked before it is read
+    doc = {"cyclic_orders": [2], "block_rank": block_rank, "mu": "unread"}
+    with pytest.raises(InputLimit, match="the block rank is past the input limit of 16"):
+        serialize.descent_datum_from_json(doc)
+
+
 def test_quadratic_element_round_trip():
     x = QuadraticElement(Fraction(1, 2), Fraction(-3), -7)
     assert serialize.quadratic_from_json(serialize.quadratic_to_json(x)) == x

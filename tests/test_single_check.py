@@ -111,22 +111,26 @@ def test_incompatible_datum_rejected_with_its_first_pair(entry):
 
 
 def test_compatible_descent_cli_runs_no_block_algebra(monkeypatch, capsys):
-    composes = counting(monkeypatch, BlockMap, "compose")
+    block_products = counting(monkeypatch, BlockMap, "compose")
     rrefs = counting(monkeypatch, linalg, "rref")
-    products = counting(monkeypatch, linalg, "mat_mul")
+    fraction_products = counting(monkeypatch, linalg, "mat_mul")
+    determinants = counting(monkeypatch, linalg, "determinant")
+    products = counting(monkeypatch, linalg, "composes")
     assert main(["descent", str(GOLDEN / "descent_z4_rank2.json")]) == 0
     capsys.readouterr()
     order, generators = 4, 1
-    assert composes["n"] == 0
-    # one rank per matrix, for the invertibility check at construction
-    assert rrefs["n"] == order
+    assert block_products["n"] == 0
+    # invertibility and the identity are decided on integer matrices only
+    assert rrefs["n"] == fraction_products["n"] == 0
+    # one determinant per matrix, for the invertibility check at construction
+    assert determinants["n"] == order
     assert products["n"] <= order * generators
 
 
 @pytest.mark.parametrize("shape", [(8,), (2, 2), (4, 2), (2, 2, 2), (2, 2, 2, 2)])
 def test_compatibility_is_checked_on_generators(shape, monkeypatch):
     datum = random_descent_datum(random.Random(sum(shape)), shape, 2)
-    products = counting(monkeypatch, linalg, "mat_mul")
+    products = counting(monkeypatch, linalg, "composes")
     assert compatibility_violation(datum) is None
     assert products["n"] <= datum.group.order * len(shape)
 

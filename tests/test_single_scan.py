@@ -111,6 +111,31 @@ def test_pairing_divides_once_per_distinct_value_pair(doc, monkeypatch):
     assert 0 < divisions["n"] <= len({(v, w) for v, w in pairs if v != w})
 
 
+def scaled_sign_document(orders) -> dict:
+    """The sign cocycle of ``sign_document`` times 2 on every pair, written
+    with "2" and "-2" entries only, so c(1, 1) = 2 and every value divides."""
+    group = FiniteAbelianGroup(orders)
+    elements = group.elements()
+    values = [
+        [list(g), list(h), "-2" if g[0] * h[1] % 2 else "2"] for g in elements for h in elements
+    ]
+    return {"cyclic_orders": list(orders), "values": values}
+
+
+def test_normalization_divides_once_per_distinct_value(monkeypatch):
+    doc = scaled_sign_document((2, 2, 2, 2))
+    group = serialize.group_from_json(doc["cyclic_orders"])
+    divisions = counting(monkeypatch, RadicalElement, "__truediv__")
+    c = serialize.cocycle_from_json(doc, group)
+    assert divisions["n"] == 2
+    assert c == serialize.cocycle_from_json(sign_document((2, 2, 2, 2)), group)
+    # the quotients are shared like the parsed values, so the pairing of the
+    # obstructed split divides once per distinct value pair as well
+    divisions["n"] = 0
+    assert not split_cocycle(c).split
+    assert divisions["n"] == 2
+
+
 @pytest.mark.parametrize(
     "spellings", [["3/1"], ["3/1", 3, "3", "6/2"], ["-1/1", "2", 5, "7/3", "1/1"]]
 )

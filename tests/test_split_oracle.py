@@ -21,16 +21,7 @@ from qcurves.errors import InvalidCocycle
 from qcurves.groups import FiniteAbelianGroup
 from qcurves.radicals import RadicalElement
 
-from helpers import random_cochain, random_radical, split_oracle
-
-
-def shapes(limit: int, prefix=()) -> list[tuple[int, ...]]:
-    """Every tuple of cyclic orders >= 2 whose product is at most limit."""
-    out = []
-    for n in range(2, limit + 1):
-        out.append(prefix + (n,))
-        out.extend(shapes(limit // n, prefix + (n,)))
-    return out
+from helpers import random_cochain, random_radical, shapes, split_oracle
 
 
 SHAPES = shapes(16)
