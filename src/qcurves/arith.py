@@ -97,7 +97,8 @@ def check_size(n: int) -> int:
 
 def parse_fraction(s: str | int) -> Fraction:
     """Parse "a/b" (or a bare integer) into a Fraction whose numerator and
-    denominator have at most INPUT_BITS bits; InputLimit otherwise."""
+    denominator have at most INPUT_BITS bits; InputLimit otherwise, and a
+    ValueError naming s for a zero denominator."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError(f"expected a fraction string or integer, got {s!r}")
     if isinstance(s, str) and ("e" in s or "E" in s):
@@ -108,7 +109,10 @@ def parse_fraction(s: str | int) -> Fraction:
             raise InputLimit(
                 f"a decimal exponent of {exponent} is past the input limit of {INPUT_BITS} bits"
             )
-    q = Fraction(s)
+    try:
+        q = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     check_size(q.numerator)
     check_size(q.denominator)
     return q

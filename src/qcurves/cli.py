@@ -274,6 +274,10 @@ def cmd_traces(args) -> int:
         f_json, f_real, containment = None, False, False
         warnings = warnings + [str(exc)]
     charpolys = [frobenius_charpoly(e, table.epsilon) for e in table.good_entries()]
+    trace_json = {}  # each distinct a_p encoded once
+    for c in charpolys:
+        if c.trace not in trace_json:
+            trace_json[c.trace] = serialize.quadratic_to_json(c.trace)
     report = {
         "entries": [{"p": r.p, "conjugation_ok": r.ok} for r in conjugation],
         "generated_E": serialize.field_to_json(field_e),
@@ -285,7 +289,7 @@ def cmd_traces(args) -> int:
         "charpoly": [
             {
                 "p": c.p,
-                "trace": serialize.quadratic_to_json(c.trace),
+                "trace": trace_json[c.trace],
                 "det": serialize.quadratic_to_json(c.determinant),
                 "weil_bound_ok": c.weil_bound_ok,
             }

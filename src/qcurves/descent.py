@@ -256,7 +256,10 @@ def _require_compatible(datum: DescentDatum) -> None:
 
 @dataclass(frozen=True)
 class DescentReport:
-    eta: BlockMap
+    """The descended image of a compatible datum: eta's rank and flags, and
+    eta itself, built from the datum on first read."""
+
+    datum: DescentDatum
     idempotent_ok: bool
     rank: int
     fixed_by_all: bool
@@ -266,29 +269,35 @@ class DescentReport:
     def ok(self) -> bool:
         return self.idempotent_ok and self.fixed_by_all and self.diagonal_image_ok
 
+    @cached_property
+    def eta(self) -> BlockMap:
+        """eta = sum of the restriction operators: the block mu(s - t) at
+        (t, s), since [g] puts mu(g) at (t, t + g) and distinct operators
+        have disjoint supports."""
+        product = self.datum.product()
+        add = self.datum.group.add
+        blocks = {
+            (t, add(t, g)): block for g, block in self.datum.mu.items() for t in product.labels
+        }
+        return BlockMap._trusted(product, product, blocks)
+
 
 def eta_descent(datum: DescentDatum) -> DescentReport:
     """The sum eta of the restriction operators and its descended image.
 
-    eta has the block mu(s - t) at (t, s): operator [g] puts mu(g) at
-    (t, t + g), and distinct operators have disjoint supports.  On a
-    compatible datum every flag holds and the rank is the block rank, by the
-    compatibility identity mu(s) mu(t) = mu(s + t) alone:
+    On a compatible datum every flag holds and the rank is the block rank, by
+    the compatibility identity mu(s) mu(t) = mu(s + t) alone:
     - [g] eta = eta = eta [g], and (eta/|G|)^2 = eta/|G|;
     - eta = U V, where U has blocks mu(-t) and V has blocks mu(s), each with
       an identity block (at 0).  So rank eta = n, and every slot's row slice
       mu(-t) V has rank n: the column space projects isomorphically onto
       each factor.
-    So once ``compatibility_violation`` returns None, nothing is recomputed.
+    So once ``compatibility_violation`` returns None, nothing is recomputed,
+    and eta itself is built only when the report's ``eta`` is read.
     """
     _require_compatible(datum)
-    product = datum.product()
-    add = datum.group.add
-    blocks = {
-        (t, add(t, g)): block for g, block in datum.mu.items() for t in product.labels
-    }
     return DescentReport(
-        eta=BlockMap._trusted(product, product, blocks),
+        datum=datum,
         idempotent_ok=True,
         rank=datum.block_rank,
         fixed_by_all=True,

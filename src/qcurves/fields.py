@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable
 
 from .arith import square_class, squarefree_part
 from .errors import ValueOutsideField
@@ -160,16 +160,19 @@ class QuadraticElement:
         self.x, self.y, self.n, self.d = r.x, r.y, r.n, r.d
 
     @classmethod
-    def from_coordinates(cls, x: int, y: int, n: int, d: int) -> "QuadraticElement":
+    def from_coordinates(
+        cls, x: int, y: int, n: int, d: int, squarefree: Container[int] = ()
+    ) -> "QuadraticElement":
         """(x + y*sqrt(d)) / n from integers.  d must be a squarefree class
-        other than 1 unless y = 0; d = 1 reads sqrt(d) as 1."""
+        other than 1 unless y = 0; d = 1 reads sqrt(d) as 1.  A class in
+        ``squarefree`` is taken as already checked."""
         if n == 0:
             raise ZeroDivisionError("quadratic element with denominator 0")
         if y == 0:
             d = 1
         elif d == 1:
             x, y = x + y, 0
-        elif d == 0 or squarefree_part(d) != d:
+        elif d not in squarefree and (d == 0 or squarefree_part(d) != d):
             raise ValueError(f"{d} is not a squarefree class")
         return _reduced(x, y, n, d)
 
@@ -231,9 +234,7 @@ class QuadraticElement:
             return self.d
         if self.y == 0:
             return other.d
-        raise ValueOutsideField(
-            f"cannot combine elements of Q(sqrt({self.d})) and Q(sqrt({other.d}))"
-        )
+        raise mixed_fields(self.d, other.d)
 
     def __add__(self, other):
         other = _as_quadratic(other)
@@ -292,6 +293,11 @@ class QuadraticElement:
         if self.y == 0:
             return f"{self.a}"
         return f"{self.a} + {self.b}*sqrt({self.d})"
+
+
+def mixed_fields(d: int, e: int) -> ValueOutsideField:
+    """The error for combining irrational elements of Q(sqrt(d)) and Q(sqrt(e)), d != e."""
+    return ValueOutsideField(f"cannot combine elements of Q(sqrt({d})) and Q(sqrt({e}))")
 
 
 _new = object.__new__

@@ -62,6 +62,38 @@ def _good(raw: dict) -> bool:
     return good
 
 
+_SPELLED = {int, str}
+
+
+def _spelling(obj):
+    """A key for a JSON value that is an int or a string, or an object whose
+    values all are: the value itself, or the object's items.  The types are
+    exact, so True, which equals 1 and hashes alike but is refused where 1 is
+    read, never shares a key with 1, nor a string with a number.  None for
+    any other value."""
+    t = type(obj)
+    if t is dict:
+        return tuple(obj.items()) if {*map(type, obj.values())} <= _SPELLED else None
+    return obj if t in _SPELLED else None
+
+
+def _once_per_spelling(parse):
+    """parse, run once per distinct spelling (``_spelling``) of its argument
+    within one document; values with no spelling key are parsed each time."""
+    parsed: dict = {}
+
+    def parse_once(obj):
+        key = _spelling(obj)
+        value = parsed.get(key)
+        if value is None:
+            value = parse(obj)
+            if key is not None:
+                parsed[key] = value
+        return value
+
+    return parse_once
+
+
 def _key(k: str) -> int:
     """An object key naming an integer, in canonical decimal form only: "3",
     never " 3", "03", "+3" or "3_0", so that two keys never name one integer."""
@@ -322,7 +354,10 @@ def descent_datum_from_json(obj: Any) -> descent.DescentDatum:
 # -- trace documents ----------------------------------------------------------
 
 
-def quadratic_from_json(obj: Any) -> QuadraticElement:
+def quadratic_from_json(obj: Any, classes: set[int] | None = None) -> QuadraticElement:
+    """A field element.  ``classes`` holds the classes already found
+    squarefree, shared across one document so that each class is checked
+    once; each class read here is added to it."""
     if isinstance(obj, (int, str)):
         return QuadraticElement.from_rational(parse_fraction(obj))
     if isinstance(obj, dict) and "torsion" in obj:
@@ -337,7 +372,11 @@ def quadratic_from_json(obj: Any) -> QuadraticElement:
         b_num, b_den = parse_ratio(obj.get("b", 0))
         n = math.lcm(a_den, b_den)
         x, y = a_num * (n // a_den), b_num * (n // b_den)
-        return QuadraticElement.from_coordinates(x, y, n, check_size(d))
+        if classes is None:
+            classes = set()
+        element = QuadraticElement.from_coordinates(x, y, n, check_size(d), classes)
+        classes.add(element.d)
+        return element
     except InputLimit:
         raise
     except (ValueError, TypeError) as exc:
@@ -367,18 +406,14 @@ def character_from_json(obj: Any) -> DirichletCharacterData:
     raw_values = obj.get("values") or {}
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must be an object keyed by residue')
-    values = {
-        _key(r): RadicalElement.root_of_unity(parse_fraction(t)) for r, t in raw_values.items()
-    }
+    # a character of order k takes at most k values, each parsed once
+    root = _once_per_spelling(lambda t: RadicalElement.root_of_unity(parse_fraction(t)))
+    values = {_key(r): root(t) for r, t in raw_values.items()}
     if modulus == 1:
         values.setdefault(0, RadicalElement.one())
     at_m1 = obj.get("at_minus_one")
     try:
-        return DirichletCharacterData(
-            modulus,
-            values,
-            None if at_m1 is None else RadicalElement.root_of_unity(parse_fraction(at_m1)),
-        )
+        return DirichletCharacterData(modulus, values, None if at_m1 is None else root(at_m1))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -407,17 +442,15 @@ def trace_table_from_json(obj: Any) -> TraceTable:
     raw_entries = obj.get("entries")
     if not isinstance(raw_entries, list):
         raise ParseError('"entries" must be a list')
+    # a table repeats few values: each distinct a_p spelling is parsed once,
+    # and each distinct class d checked squarefree once
+    classes: set[int] = set()
+    trace = _once_per_spelling(lambda a_p: quadratic_from_json(a_p, classes))
     entries = []
     for raw in raw_entries:
         if not isinstance(raw, dict) or "p" not in raw or "a_p" not in raw:
             raise ParseError(f"bad trace entry {raw!r}")
-        entries.append(
-            TraceEntry(
-                p=_prime(raw),
-                a_p=quadratic_from_json(raw["a_p"]),
-                good=_good(raw),
-            )
-        )
+        entries.append(TraceEntry(p=_prime(raw), a_p=trace(raw["a_p"]), good=_good(raw)))
     bad = obj.get("bad_primes", [])
     if not isinstance(bad, list) or not all(_is_int(p) for p in bad):
         raise ParseError('"bad_primes" must be a list of integers')

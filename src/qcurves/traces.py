@@ -6,7 +6,14 @@ exceptional set and are excluded from every check.  The character is checked
 once, where it enters: every unit must carry a root of unity, and
 multiplicativity is checked on generators of (Z/N)^* in integer torsion
 coordinates (see DirichletCharacterData).  Its values are converted to
-quadratic coordinates once per residue class.  The checks are exact:
+quadratic coordinates once per residue class.
+
+A table repeats few values: a 1000-entry table may spell only 20 distinct
+traces, and the character takes at most ``order`` values.  So each verdict
+and each t_p below is computed once per distinct (a_p, eps(p)) pair, in the
+integer coordinates of the two elements, with no element built; only the
+p-dependent work (primality, the determinant eps(p) p and the Weil bound)
+runs per entry.  The checks are exact:
 
 * conjugation symmetry: a_p equals its canonical involute times the character
   value at p, where the involution is trivial on a totally real E and is the
@@ -15,7 +22,9 @@ quadratic coordinates once per residue class.  The checks are exact:
   numbers t_p = a_p^2 / eps(p), which must come out totally real;
 * the abelianness witness: E must land inside the field obtained from the
   inner field by adjoining square roots of the t_p and the roots of unity of
-  order twice the character order (square roots of character values);
+  order twice the character order (square roots of character values).  The
+  span only grows, so the square classes of rational t_p, one factorization
+  each, are added only while E is not yet inside it;
 * evenness of the character: value +1 at -1;
 * the Frobenius characteristic polynomial x^2 - a_p x + eps(p) p, with an
   advisory (never fatal) archimedean bound |a_p| <= 2 sqrt(p) under every
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .arith import is_prime
@@ -33,6 +43,7 @@ from .errors import NotTotallyReal, ValueOutsideField
 from .fields import (
     MultiquadraticField,
     QuadraticElement,
+    mixed_fields,
     quadratic_classes_in_cyclotomic,
     root_of_unity_as_quadratic,
 )
@@ -173,26 +184,38 @@ class TraceTable:
         return [e for e in self.entries if e.good]
 
 
-def canonical_involution(field_e: MultiquadraticField, x: QuadraticElement) -> QuadraticElement:
-    """Identity on a totally real field, complex conjugation otherwise."""
-    if field_e.totally_real or x.is_rational or x.d > 0:
-        return x
-    return x.conjugate()
-
-
 @dataclass(frozen=True)
 class EntryReport:
     p: int
     ok: bool
 
 
+def _conjugation_holds(
+    field_e: MultiquadraticField, a: QuadraticElement, e: QuadraticElement
+) -> bool:
+    """a = involution(a) * e for a = (x + y sqrt d) / n and a character value
+    e = (u + v sqrt d_e) / k, on their coordinates."""
+    x, y, d = a.x, a.y, a.d
+    u, v, k = e.x, e.y, e.n
+    if y and v and d != e.d:
+        raise mixed_fields(d, e.d)
+    if field_e.totally_real or not y or d > 0:  # the involution fixes a
+        return not (x or y) or (u == k and not v)  # a = 0 or e = 1
+    # conj(a) e = ((x u - y v d) + (x v - y u) sqrt d) / (n k); v = 0 or d_e = d
+    return x * u - y * v * d == k * x and x * v - y * u == k * y
+
+
 def conjugation_symmetry_report(table: TraceTable) -> list[EntryReport]:
-    """Check a_p = conj(a_p) * eps(p) for each good entry, in ascending p."""
+    """Check a_p = conj(a_p) * eps(p) for each good entry, in ascending p,
+    once per distinct (a_p, eps(p)) pair."""
+    verdicts: dict[tuple[QuadraticElement, QuadraticElement], bool] = {}
     reports = []
     for entry in table.good_entries():
-        eps_value = table.epsilon.quadratic_value(entry.p)
-        expected = canonical_involution(table.field_e, entry.a_p) * eps_value
-        reports.append(EntryReport(entry.p, expected == entry.a_p))
+        pair = (entry.a_p, table.epsilon.quadratic_value(entry.p))
+        ok = verdicts.get(pair)
+        if ok is None:
+            ok = verdicts[pair] = _conjugation_holds(table.field_e, *pair)
+        reports.append(EntryReport(entry.p, ok))
     return reports
 
 
@@ -213,36 +236,68 @@ class InnerFieldReport:
     containment_ok: bool
 
 
+def _inner_value(a: QuadraticElement, e: QuadraticElement) -> tuple[int, int, int]:
+    """t = a^2 / e for a nonzero a = (x + y sqrt d) / n and a character value
+    e = (u + v sqrt d_e) / k, as (class, num, den): the class of Q(t) when t
+    is irrational, else (1, num, den) with t = num / den.
+
+    e is a root of unity, so dividing by it multiplies by its conjugate, and
+    a^2 = (s + r sqrt d) / n^2 with s = x^2 + y^2 d and r = 2 x y."""
+    x, y, d, n = a.x, a.y, a.d, a.n
+    u, v, k = e.x, e.y, e.n
+    s, r, den = x * x + y * y * d, 2 * x * y, n * n * k
+    if not r:  # a^2 = s / n^2 is rational and nonzero
+        return (e.d, 0, 0) if v else (1, s * u, den)
+    if not v:
+        return d, 0, 0
+    if d != e.d:
+        raise mixed_fields(d, e.d)
+    # (s + r sqrt d)(u - v sqrt d) = (s u - r v d) + (r u - s v) sqrt d
+    return (d, 0, 0) if r * u != s * v else (1, s * u - r * v * d, den)
+
+
 def generated_field_f(table: TraceTable) -> InnerFieldReport:
-    """Inner field Q(a_p^2 / eps(p)) with the abelianness containment check.
+    """Inner field Q(a_p^2 / eps(p)) with the abelianness containment check,
+    computed once per distinct (a_p, eps(p)) pair with a_p nonzero.
 
     Raises NotTotallyReal when the generated field has an imaginary basis
     class, which cannot happen for conjugation-compliant data.
     """
-    t_values: list[QuadraticElement] = []
+    seen = set()
+    classes: dict[int, None] = {}  # of the irrational t_p, in order of entry
+    rationals: dict[tuple[int, int], None] = {}  # the rational t_p as (num, den)
     for entry in table.good_entries():
         if entry.a_p.is_zero:
             continue
-        # eps(p) is a root of unity, so dividing by it multiplies by its conjugate
-        eps_value = table.epsilon.quadratic_value(entry.p)
-        t_values.append(entry.a_p.square() * eps_value.conjugate())
+        pair = (entry.a_p, table.epsilon.quadratic_value(entry.p))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        d, num, den = _inner_value(*pair)
+        if d == 1:
+            rationals[num, den] = None
+        else:
+            classes[d] = None
 
-    field_f = MultiquadraticField.from_square_classes(
-        [t.generated_class() for t in t_values if not t.is_rational]
-    )
+    field_f = MultiquadraticField.from_square_classes(classes)
     if not field_f.totally_real:
         raise NotTotallyReal(f"inner field {field_f} has an imaginary class")
 
     # E must lie in F(sqrt(t_p), mu_{2 * order}): square roots of rational t_p
     # contribute their square class, square roots of irrational t_p contribute
-    # the class of the quadratic field the corresponding trace generates, and
-    # the roots of unity contribute the quadratic subfields of the cyclotomic.
-    adjoined = list(field_f.basis)
-    adjoined.extend(t.rational_value() for t in t_values if t.is_rational)
-    adjoined.extend(t.generated_class() for t in t_values if not t.is_rational)
-    adjoined.extend(quadratic_classes_in_cyclotomic(2 * table.epsilon.order))
-    span = MultiquadraticField.from_square_classes(adjoined)
+    # the class of the quadratic field the corresponding trace generates (in
+    # F already), and the roots of unity contribute the quadratic subfields of
+    # the cyclotomic.  The span only grows, so the rational t_p are factored
+    # only until it holds E.
+    span = MultiquadraticField.from_square_classes(
+        (*field_f.basis, *quadratic_classes_in_cyclotomic(2 * table.epsilon.order))
+    )
     containment_ok = span.contains(table.field_e)
+    for num, den in rationals:
+        if containment_ok:
+            break
+        span = MultiquadraticField.from_square_classes((*span.basis, Fraction(num, den)))
+        containment_ok = span.contains(table.field_e)
     return InnerFieldReport(field_f, containment_ok)
 
 

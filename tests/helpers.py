@@ -10,6 +10,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from qcurves import (
     AlgebraElement,
@@ -34,7 +35,13 @@ from qcurves.descent import (
     build_restriction,
     compatibility_violation,
 )
-from qcurves.errors import CompatibilityRequired, InvalidCocycle, ValueOutsideField
+from qcurves.errors import (
+    CompatibilityRequired,
+    InvalidCocycle,
+    NotTotallyReal,
+    ValueOutsideField,
+)
+from qcurves.fields import MultiquadraticField, quadratic_classes_in_cyclotomic
 from qcurves.linalg import (
     Matrix,
     Vector,
@@ -45,6 +52,7 @@ from qcurves.linalg import (
     solve,
 )
 from qcurves.radicals import RadicalElement
+from qcurves.traces import EntryReport, InnerFieldReport, TraceTable
 
 PRIMES = (2, 3, 5)
 
@@ -534,7 +542,20 @@ def compatibility_pair_scan(datum: DescentDatum):
     return None
 
 
-def eta_oracle(datum: DescentDatum) -> DescentReport:
+class EtaOracleReport(NamedTuple):
+    eta: BlockMap
+    idempotent_ok: bool
+    rank: int
+    fixed_by_all: bool
+    diagonal_image_ok: bool
+
+
+def eta_fields(report: DescentReport) -> tuple:
+    """A descent report's fields in the order of EtaOracleReport."""
+    return tuple(getattr(report, name) for name in EtaOracleReport._fields)
+
+
+def eta_oracle(datum: DescentDatum) -> EtaOracleReport:
     """The descent report by block algebra on a compatible datum: eta as the
     sum of the operators, fixed by composing with each, idempotency of
     eta/|G| by composition, and ranks of the dense matrix and its slices."""
@@ -555,7 +576,7 @@ def eta_oracle(datum: DescentDatum) -> DescentReport:
     diagonal_ok = eta_rank == n and all(
         rank(matrix_[i * n : (i + 1) * n]) == n for i in range(group.order)
     )
-    return DescentReport(
+    return EtaOracleReport(
         eta=eta,
         idempotent_ok=idempotent_ok,
         rank=eta_rank,
@@ -696,6 +717,50 @@ def compliant_table_entries(
         u = root_of_unity_as_quadratic(value)
         entries.append(TraceEntry(p, compliant_trace_value(rng, field_real, d, u)))
     return entries
+
+
+# The trace checks by QuadraticElement arithmetic, entry by entry: the routes
+# that the integer checks of qcurves.traces replaced
+
+
+def canonical_involution(field_e: MultiquadraticField, x: QuadraticElement) -> QuadraticElement:
+    """Identity on a totally real field, complex conjugation otherwise."""
+    if field_e.totally_real or x.is_rational or x.d > 0:
+        return x
+    return x.conjugate()
+
+
+def conjugation_oracle(table: TraceTable) -> list[EntryReport]:
+    """a_p = conj(a_p) * eps(p) for each good entry, in ascending p."""
+    reports = []
+    for entry in table.good_entries():
+        eps_value = table.epsilon.quadratic_value(entry.p)
+        expected = canonical_involution(table.field_e, entry.a_p) * eps_value
+        reports.append(EntryReport(entry.p, expected == entry.a_p))
+    return reports
+
+
+def inner_field_oracle(table: TraceTable) -> InnerFieldReport:
+    """The inner field of the t_p = a_p^2 / eps(p) and the containment of E in
+    F(sqrt(t_p), mu_{2 * order}), with every t_p built and every rational
+    t_p factored."""
+    t_values: list[QuadraticElement] = []
+    for entry in table.good_entries():
+        if entry.a_p.is_zero:
+            continue
+        eps_value = table.epsilon.quadratic_value(entry.p)
+        t_values.append(entry.a_p.square() * eps_value.conjugate())
+    field_f = MultiquadraticField.from_square_classes(
+        [t.generated_class() for t in t_values if not t.is_rational]
+    )
+    if not field_f.totally_real:
+        raise NotTotallyReal(f"inner field {field_f} has an imaginary class")
+    adjoined = list(field_f.basis)
+    adjoined.extend(t.rational_value() for t in t_values if t.is_rational)
+    adjoined.extend(t.generated_class() for t in t_values if not t.is_rational)
+    adjoined.extend(quadratic_classes_in_cyclotomic(2 * table.epsilon.order))
+    span = MultiquadraticField.from_square_classes(adjoined)
+    return InnerFieldReport(field_f, span.contains(table.field_e))
 
 
 # ---------------------------------------------------------------------------

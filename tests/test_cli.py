@@ -548,6 +548,37 @@ def test_repeated_object_key_is_refused(case, tmp_path, capsys):
     assert run(capsys, command, str(path))[0] == single_code
 
 
+# a "1/0" where each kind of document reads a rational
+ZERO_DENOMINATORS = {
+    "cocycle_value": ("validate-cocycle", {"cyclic_orders": [2], "values": [[[1], [1], "1/0"]]}),
+    "descent_entry": (
+        "descent",
+        {"cyclic_orders": [2], "block_rank": 1, "mu": [[[0], [[1]]], [[1], [["1/0"]]]]},
+    ),
+    "trace_a_p": (
+        "traces",
+        {"E_generators": [-1], "entries": [{"p": 3, "a_p": {"a": "1/0", "b": "1", "d": -1}}]},
+    ),
+    "character_value": (
+        "traces",
+        {
+            "E_generators": [-1],
+            "entries": [],
+            "epsilon": {"modulus": 4, "values": {"1": "0/1", "3": "1/0"}},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATORS))
+def test_zero_denominator_exits_2_naming_the_input(case, tmp_path, capsys):
+    command, doc = ZERO_DENOMINATORS[case]
+    code, report = run(capsys, command, write(tmp_path, "doc.json", doc))
+    assert code == 2
+    assert list(report) == ["error"]
+    assert "zero denominator in '1/0'" in report["error"]
+
+
 @pytest.mark.parametrize("orders", [[10**12], [257], [2] * 9])
 def test_group_past_the_order_limit_exits_2(orders, tmp_path, capsys):
     path = write(tmp_path, "doc.json", {"cyclic_orders": orders, "values": []})

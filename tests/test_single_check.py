@@ -29,7 +29,7 @@ from qcurves.errors import CompatibilityRequired
 from qcurves.pipeline import QCurveDatum
 from qcurves.radicals import RadicalElement
 
-from helpers import counting, counting_function, random_descent_datum
+from helpers import counting, counting_function, eta_oracle, random_descent_datum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,15 +116,31 @@ def test_compatible_descent_cli_runs_no_block_algebra(monkeypatch, capsys):
     fraction_products = counting(monkeypatch, linalg, "mat_mul")
     determinants = counting(monkeypatch, linalg, "determinant")
     products = counting(monkeypatch, linalg, "composes")
+    additions = counting(monkeypatch, groups.FiniteAbelianGroup, "add")
+    fraction_matrices = counting(monkeypatch, linalg.ScaledMatrix, "fractions")
     assert main(["descent", str(GOLDEN / "descent_z4_rank2.json")]) == 0
     capsys.readouterr()
     order, generators = 4, 1
     assert block_products["n"] == 0
+    # the report reads eta's rank and flags only, so eta is never built
+    assert additions["n"] == fraction_matrices["n"] == 0
     # invertibility and the identity are decided on integer matrices only
     assert rrefs["n"] == fraction_products["n"] == 0
     # one determinant per matrix, for the invertibility check at construction
     assert determinants["n"] == order
     assert products["n"] <= order * generators
+
+
+def test_eta_is_built_on_first_read_only(monkeypatch):
+    datum = random_descent_datum(random.Random(7), (4, 2), 2)
+    additions = counting(monkeypatch, groups.FiniteAbelianGroup, "add")
+    report = eta_descent(datum)
+    assert additions["n"] == 0
+    eta = report.eta
+    assert additions["n"] == datum.group.order**2
+    assert report.eta is eta
+    assert additions["n"] == datum.group.order**2
+    assert eta == eta_oracle(datum).eta
 
 
 @pytest.mark.parametrize("shape", [(8,), (2, 2), (4, 2), (2, 2, 2), (2, 2, 2, 2)])

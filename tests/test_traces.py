@@ -14,14 +14,20 @@ from qcurves.traces import (
     DirichletCharacterData,
     TraceEntry,
     TraceTable,
-    canonical_involution,
     conjugation_symmetry_report,
     frobenius_charpoly,
     generated_field_e,
     generated_field_f,
 )
 
-from helpers import chi_mod4, chi_mod5, chi_mod8, chi_mod16_order4, compliant_table_entries
+from helpers import (
+    canonical_involution,
+    chi_mod4,
+    chi_mod5,
+    chi_mod8,
+    chi_mod16_order4,
+    compliant_table_entries,
+)
 
 Q = MultiquadraticField.rationals()
 Q_I = MultiquadraticField.from_square_classes([-1])
